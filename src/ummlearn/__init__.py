@@ -47,7 +47,6 @@ from .metrics import (
     bca,
     g_mean,
     iba,
-    per_class_stddev,
     precision_recall_f1,
 )
 from .network import (
@@ -68,9 +67,6 @@ from .numerics import (
     DenseMatrix,
     DenseVector,
     cos_m_theta,
-    dot,
-    erf,
-    stable_log_sum_exp,
 )
 from .seeding import stream_rng, stream_seed
 from .uncertainty import (
@@ -78,7 +74,6 @@ from .uncertainty import (
     UncertaintyEstimate,
     class_uncertainty,
     error_moments,
-    mc_mean,
     mc_uncertainty,
     misclassification_ccdf,
     rival_class,

@@ -13,6 +13,7 @@ import argparse
 import os
 import sys
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -20,7 +21,13 @@ import numpy as np
 
 from . import data as data_mod
 from . import metrics as metrics_mod
-from .errors import ConfigurationError, CsvFormatError, ParameterError, TrainingDivergenceError
+from .errors import (
+    ConfigurationError,
+    CsvFormatError,
+    MetricUndefinedError,
+    ParameterError,
+    TrainingDivergenceError,
+)
 from .gradcheck import check
 from .margin_loss import (
     angular_margin_loss,
@@ -157,18 +164,36 @@ def config_lines(cfg: RunConfig) -> list[str]:
     return lines
 
 
-def atomic_write_text(path, text: str) -> None:
+@contextmanager
+def atomic_path(path):
+    """Yield a temporary path next to ``path``; rename it over ``path`` on success.
+
+    Creates the parent directory. A failed write leaves no partial file.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    os.close(fd)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        yield tmp
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path, text: str) -> None:
+    with atomic_path(path) as tmp:
+        Path(tmp).write_text(text, encoding="utf-8", newline="")
+
+
+def _report(text: str, out, name: str) -> int:
+    """Echo a report to stdout; with ``--out``, also write it atomically as <out>/<name>."""
+    if out:
+        atomic_write_text(Path(out) / name, text)
+    sys.stdout.write(text)
+    return 0
 
 
 def _fmt(v: float) -> str:
@@ -273,44 +298,60 @@ def run_training(cfg: RunConfig, loss: str | None = None, epochs_sum: int | None
 def cmd_train(args) -> int:
     cfg = _load_config(args)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     atomic_write_text(out / "config.txt", "\n".join(config_lines(cfg)) + "\n")
     model, records, train_ds, test_ds = run_training(cfg)
     atomic_write_text(out / "metrics.csv", metrics_csv_text(records, train_ds.n_classes))
-    save_model(model, out / "model.npz")
-    data_mod.save_csv(train_ds, out / "train.csv")
-    if test_ds is not None:
-        data_mod.save_csv(test_ds, out / "test.csv")
+    with atomic_path(out / "model.npz") as tmp, open(tmp, "wb") as fh:
+        save_model(model, fh)  # a file handle: np.savez would append .npz to the temp name
+    for name, ds in (("train.csv", train_ds), ("test.csv", test_ds)):
+        if ds is not None:
+            with atomic_path(out / name) as tmp:
+                data_mod.save_csv(ds, tmp)
     print(f"run complete: {out / 'metrics.csv'}")
     return 0
 
 
-def cmd_eval(args) -> int:
+def _load_model_and_data(args) -> tuple[MlpModel, data_mod.Dataset]:
+    """Load ``--model`` and the ``--data`` CSV, checking that the CSV fits the model.
+
+    The dataset is sized by the model's classes, so a CSV that lacks the top
+    classes still gets one table row per model class.
+    """
     model = load_model(args.model)
     ds = data_mod.load_csv(args.data)
+    if ds.dim != model.input_dim:
+        raise ConfigurationError(
+            f"{args.data} has {ds.dim} features per row, the model takes {model.input_dim}"
+        )
+    if ds.n_classes > model.n_classes:
+        raise ConfigurationError(
+            f"{args.data} has label {ds.n_classes - 1}, the model has {model.n_classes} classes"
+        )
+    return model, data_mod.Dataset.from_arrays(ds.features, ds.labels, n_classes=model.n_classes)
+
+
+def cmd_eval(args) -> int:
+    model, ds = _load_model_and_data(args)
     preds = evaluate(model, ds)
     counts = metrics_mod.ConfusionCounts.from_predictions(ds.labels, preds, ds.n_classes)
     prf = metrics_mod.precision_recall_f1(counts)
+    try:
+        bca_value = metrics_mod.bca(counts)
+    except MetricUndefinedError:  # a model class without samples in the CSV
+        bca_value = float("nan")
     lines = ["metric,value"]
     lines.append(f"accuracy,{_fmt(float(np.mean(preds == ds.labels)))}")
-    lines.append(f"bca,{_fmt(metrics_mod.bca(counts))}")
+    lines.append(f"bca,{_fmt(bca_value)}")
     lines.append(f"g_mean,{_fmt(metrics_mod.g_mean(counts))}")
     lines.append(f"iba,{_fmt(metrics_mod.iba(counts))}")
     lines.append(f"macro_f1,{_fmt(prf.macro_f1)}")
     for k in range(ds.n_classes):
         lines.append(f"recall_{k},{_fmt(float(prf.recall[k]))}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(out / "eval.csv", text)
-    sys.stdout.write(text)
-    return 0
+    return _report("\n".join(lines) + "\n", args.out, "eval.csv")
 
 
 def cmd_uncertainty(args) -> int:
-    model = load_model(args.model)
-    ds = data_mod.load_csv(args.data)
+    model, ds = _load_model_and_data(args)
     cfg = _load_config(args)
     ens = EnsembleConfig(
         n_passes=cfg.ensemble_passes, dropout_rate=cfg.ensemble_dropout, precision=cfg.ensemble_tau
@@ -321,18 +362,11 @@ def cmd_uncertainty(args) -> int:
         lines.append(
             f"{k},{int(ds.class_counts[k])},{_fmt(float(ds.class_frequencies[k]))},{_fmt(float(u[k]))}"
         )
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(out / "uncertainty.csv", text)
-    sys.stdout.write(text)
-    return 0
+    return _report("\n".join(lines) + "\n", args.out, "uncertainty.csv")
 
 
 def cmd_features2d(args) -> int:
-    model = load_model(args.model)
-    ds = data_mod.load_csv(args.data)
+    model, ds = _load_model_and_data(args)
     if model.feature_dim != 2:
         raise ConfigurationError(
             f"features2d needs a penultimate width of 2, model has {model.feature_dim}"
@@ -341,13 +375,7 @@ def cmd_features2d(args) -> int:
     lines = ["x,y,label"]
     for row, lab in zip(feats, ds.labels):
         lines.append(f"{_fmt(row[0])},{_fmt(row[1])},{int(lab)}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(out / "features2d.csv", text)
-    sys.stdout.write(text)
-    return 0
+    return _report("\n".join(lines) + "\n", args.out, "features2d.csv")
 
 
 def cmd_gradcheck(args) -> int:
@@ -355,7 +383,7 @@ def cmd_gradcheck(args) -> int:
     c, d = 4, 6
     state = ClassifierState(rng.standard_normal((c, d)))
     f = rng.standard_normal(d)
-    y = int(rng.integers(0, c))
+    y = np.array([rng.integers(0, c)])  # a batch of one
 
     loss = args.loss
     if loss == "hybrid-cluster":
@@ -377,10 +405,10 @@ def cmd_gradcheck(args) -> int:
 
     def value_at(x):
         s = ClassifierState(x[: c * d].reshape(c, d))
-        return loss_fn(s, x[c * d :]).value
+        return loss_fn(s, x[None, c * d :]).value
 
-    res = loss_fn(state, f)
-    analytic = np.concatenate([res.grad_weights.ravel(), res.grad_feature])
+    res = loss_fn(state, f[None, :])
+    analytic = np.concatenate([res.grad_weights.ravel(), res.grad_feature.ravel()])
     report = check(value_at, analytic, x0, tolerance=args.tolerance)
     print(f"loss={loss} seed={args.seed}")
     print(report)
@@ -436,13 +464,7 @@ def cmd_bias_demo(args) -> int:
         f"balanced_error_learned={_fmt(report.balanced_error_learned)}",
         f"balanced_error_optimal={_fmt(report.balanced_error_optimal)}",
     ]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(out / "bias_demo.txt", text)
-    sys.stdout.write(text)
-    return 0
+    return _report("\n".join(lines) + "\n", args.out, "bias_demo.txt")
 
 
 def _sweep_variant(token: str) -> tuple[str, int | None]:
@@ -502,10 +524,8 @@ def cmd_sweep(args) -> int:
         vals = np.asarray(groups[key])
         lines.append(f"{token},{_fmt(p)},mean,{metric},{_fmt(float(vals.mean()))}")
         lines.append(f"{token},{_fmt(p)},std,{metric},{_fmt(float(vals.std()))}")
-    text = "\n".join(lines) + "\n"
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    atomic_write_text(out / "sweep.csv", text)
+    atomic_write_text(out / "sweep.csv", "\n".join(lines) + "\n")
     print(f"sweep complete: {out / 'sweep.csv'}")
     return 0
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CsvFormatError, DimensionError, LabelError, ParameterError
-from .numerics import DenseMatrix, as_matrix, erf
+from .numerics import DenseMatrix, as_matrix
 from .seeding import stream_rng, stream_seed
 
 
@@ -201,9 +201,12 @@ def load_csv(path) -> Dataset:
             if len(row) != dim + 1:
                 raise CsvFormatError(f"expected {dim + 1} fields, got {len(row)}", line=lineno)
             try:
-                rows.append([float(v) for v in row[:-1]])
+                values = [float(v) for v in row[:-1]]
             except ValueError:
                 raise CsvFormatError("malformed feature value", line=lineno) from None
+            if not all(math.isfinite(v) for v in values):
+                raise CsvFormatError("non-finite feature value", line=lineno)
+            rows.append(values)
             try:
                 lab = int(row[-1])
             except ValueError:
@@ -242,7 +245,7 @@ def balanced_gaussian_error(threshold: float, mean_a: float, mean_b: float, std:
     for two unit-variance-style Gaussians."""
 
     def cdf(x: float, mu: float) -> float:
-        return 0.5 * (1.0 + erf((x - mu) / (std * math.sqrt(2.0))))
+        return 0.5 * (1.0 + math.erf((x - mu) / (std * math.sqrt(2.0))))
 
     return 0.5 * (1.0 - cdf(threshold, mean_a)) + 0.5 * cdf(threshold, mean_b)
 

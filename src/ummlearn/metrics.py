@@ -125,10 +125,3 @@ def iba(counts: ConfusionCounts, alpha: float = 0.1) -> float:
     per_class = (1.0 + alpha * (tpr - tnr)) * tpr * tnr
     return float(per_class.mean())
 
-
-def per_class_stddev(values) -> float:
-    """Population standard deviation of per-class metric values."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise DimensionError("per_class_stddev needs a nonempty 1-D input")
-    return float(np.std(arr))

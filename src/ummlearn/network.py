@@ -33,7 +33,6 @@ from .errors import (
     TrainingDivergenceError,
 )
 from .margin_loss import (
-    NORM_FLOOR,
     ClassifierState,
     angular_margin_loss,
     class_margin_from_uncertainty,
@@ -41,7 +40,7 @@ from .margin_loss import (
     softmax_loss,
     uncertainty_weighted_margin_loss,
 )
-from .numerics import M_MAX, log_sum_exp_rows
+from .numerics import M_MAX
 from .seeding import stream_rng
 from .uncertainty import (
     EnsembleConfig,
@@ -345,70 +344,19 @@ def _init_cluster_state(
     )
 
 
-def _softmax_batch(model: MlpModel, cache: ForwardCache, yb: np.ndarray):
-    """Vectorized batch-mean softmax loss with feature and classifier grads."""
-    logits = cache.logits
-    n = logits.shape[0]
-    lse = log_sum_exp_rows(logits)
-    value = float(np.mean(lse - logits[np.arange(n), yb]))
-    p = np.exp(logits - lse[:, None])
-    p[np.arange(n), yb] -= 1.0
-    p /= n
-    grad_classifier = p.T @ cache.feature
-    grad_feature = p @ model.classifier.weights
-    return value, grad_feature, grad_classifier
-
-
-def _per_sample_batch(model: MlpModel, cache: ForwardCache, yb: np.ndarray, loss_fn, blend: float = 1.0):
-    """Batch-mean loss/grads from a per-sample LossResult function.
-
-    ``blend`` < 1 mixes the per-sample loss with the plain softmax loss,
-    (1 - blend) softmax + blend margin: the standard stabilizer for
-    margin-enforcing softmax variants, which otherwise escape infeasible
-    angular demands by collapsing the class vector norms.
-
-    A dropped-out sample can have an exactly zero feature under relu; the
-    angular factorization is undefined there, but every margin loss tends to
-    the plain softmax loss as the feature norm vanishes, so such samples fall
-    back to the softmax loss/gradient.
-    """
-    feats = cache.feature
-    n = feats.shape[0]
-    grad_classifier = np.zeros_like(model.classifier.weights)
-    grad_feature = np.zeros_like(feats)
-    total = 0.0
-    for i in range(n):
-        if np.linalg.norm(feats[i]) < NORM_FLOOR:
-            res = softmax_loss(model.classifier, feats[i], int(yb[i]))
-            value, g_w, g_f = res.value, res.grad_weights, res.grad_feature
-        else:
-            res = loss_fn(model.classifier, feats[i], int(yb[i]), i)
-            value, g_w, g_f = res.value, res.grad_weights, res.grad_feature
-            if blend < 1.0:
-                base = softmax_loss(model.classifier, feats[i], int(yb[i]))
-                value = (1.0 - blend) * base.value + blend * value
-                g_w = (1.0 - blend) * base.grad_weights + blend * g_w
-                g_f = (1.0 - blend) * base.grad_feature + blend * g_f
-        total += value
-        grad_classifier += g_w
-        grad_feature[i] = g_f
-    return total / n, grad_feature / n, grad_classifier / n
-
-
 def _batch_ccdfs(
     model: MlpModel, xb: np.ndarray, yb: np.ndarray, cfg: TrainConfig, rng: np.random.Generator
 ) -> np.ndarray:
     """Per-sample misclassification probabilities from ensemble feature moments."""
     masks = sample_dropout_masks(cfg.ensemble, _mask_widths(model), int(rng.integers(0, 2**63)))
-    feats = np.stack([forward(model, xb, m, cfg.ensemble.dropout_rate).feature for m in masks])
+    feats = np.stack(
+        [forward(model, xb, m, cfg.ensemble.dropout_rate).feature for m in masks], axis=1
+    )
     state = model.classifier
-    out = np.empty(xb.shape[0])
-    for i in range(xb.shape[0]):
-        mu_f, sigma_f = sample_feature_moments(feats[:, i, :])
-        j = rival_class(state, mu_f, int(yb[i]))
-        mu_e, var_e = error_moments(state.weights[j], state.weights[int(yb[i])], mu_f, sigma_f)
-        out[i] = misclassification_ccdf(mu_e, var_e)
-    return out
+    mu_f, sigma_f = sample_feature_moments(feats)
+    rivals = rival_class(state, mu_f, yb)
+    mu_e, var_e = error_moments(state.weights[rivals], state.weights[yb], mu_f, sigma_f)
+    return misclassification_ccdf(mu_e, var_e)
 
 
 def _sample_weights(ccdfs: np.ndarray) -> np.ndarray:
@@ -501,11 +449,6 @@ def train(
                 value, grad_feature, grad_classifier = _batch_loss(
                     model, cache, yb, cfg, phase, cluster_state, rng_ensemble, xb
                 )
-                if cluster_state is not None and phase >= PHASE_CLASS_MARGIN:
-                    scale = cfg.cluster_weight / idx.size
-                    _, _, grad_centers = hybrid_loss(cluster_state, cache.feature, yb)
-                    cluster_state = update_centers(cluster_state, cache.feature, yb)
-                    cluster_state.centers -= cfg.learning_rate * scale * grad_centers
                 if not np.isfinite(value) or value > cfg.max_loss:
                     raise TrainingDivergenceError(f"loss {value!r} diverged", epoch)
                 grads = backward(model, cache, grad_feature, grad_classifier)
@@ -526,63 +469,45 @@ def _batch_loss(
     rng_ensemble: np.random.Generator,
     xb: np.ndarray,
 ):
-    """Loss value and gradients for one batch under the phase/selector rules."""
-    if phase == PHASE_SOFTMAX or cfg.loss == "softmax":
-        return _softmax_batch(model, cache, yb)
+    """Loss value and gradients for one batch under the phase/selector rules.
 
-    if cfg.loss == "large-margin":
-        return _per_sample_batch(
-            model,
-            cache,
-            yb,
-            lambda s, f, y, i: large_margin_softmax_loss(s, f, y, cfg.margin),
-            blend=cfg.margin_blend,
+    For ``hybrid-cluster`` this also takes the batch's center step, in place
+    on ``cluster_state``: the damped moving average, then the gradient step
+    on the center-separation terms.
+    """
+    state, feats = model.classifier, cache.feature
+    if phase == PHASE_SOFTMAX or cfg.loss in ("softmax", "hybrid-cluster"):
+        res = softmax_loss(state, feats, yb)
+    elif cfg.loss == "large-margin":
+        res = large_margin_softmax_loss(state, feats, yb, cfg.margin, blend=cfg.margin_blend)
+    elif cfg.loss == "uncertainty-weighted" and phase == PHASE_CLASS_MARGIN:
+        res = large_margin_softmax_loss(
+            state, feats, yb, state.margins[yb], blend=cfg.margin_blend
         )
-
-    if cfg.loss == "uncertainty-weighted":
-        margins = model.classifier.margins
-        if phase == PHASE_CLASS_MARGIN:
-            return _per_sample_batch(
-                model,
-                cache,
-                yb,
-                lambda s, f, y, i: large_margin_softmax_loss(s, f, y, int(margins[y])),
-                blend=cfg.margin_blend,
-            )
+    elif cfg.loss == "uncertainty-weighted":
         weights = _sample_weights(_batch_ccdfs(model, xb, yb, cfg, rng_ensemble))
-        return _per_sample_batch(
-            model,
-            cache,
-            yb,
-            lambda s, f, y, i: uncertainty_weighted_margin_loss(
-                s, f, y, int(margins[y]), float(weights[i])
-            ),
-            blend=cfg.margin_blend,
+        res = uncertainty_weighted_margin_loss(
+            state, feats, yb, state.margins[yb], weights, blend=cfg.margin_blend
         )
-
-    if cfg.loss in ("angular-i", "angular-ii"):
+    elif cfg.loss in ("angular-i", "angular-ii"):
         variant = "i" if cfg.loss == "angular-i" else "ii"
-        return _per_sample_batch(
-            model,
-            cache,
-            yb,
-            lambda s, f, y, i: angular_margin_loss(s, f, y, variant=variant, a=cfg.angular_a),
-        )
+        res = angular_margin_loss(state, feats, yb, variant=variant, a=cfg.angular_a)
+    else:
+        raise ConfigurationError(f"unknown loss selector {cfg.loss!r}")
+    value, grad_feature = res.value, res.grad_feature
 
-    if cfg.loss == "hybrid-cluster":
-        value, grad_feature, grad_classifier = _softmax_batch(model, cache, yb)
-        if cluster_state is not None:
-            scale = cfg.cluster_weight / cache.feature.shape[0]
-            cl_value, cl_grad, _ = hybrid_loss(cluster_state, cache.feature, yb)
-            value += scale * cl_value
-            grad_feature = grad_feature + scale * cl_grad
-        return value, grad_feature, grad_classifier
-
-    raise ConfigurationError(f"unknown loss selector {cfg.loss!r}")
+    if cluster_state is not None:  # hybrid-cluster, from phase 2 on
+        scale = cfg.cluster_weight / feats.shape[0]
+        cl_value, cl_grad, grad_centers = hybrid_loss(cluster_state, feats, yb)
+        value += scale * cl_value
+        grad_feature = grad_feature + scale * cl_grad
+        cluster_state.centers = update_centers(cluster_state, feats, yb).centers
+        cluster_state.centers -= cfg.learning_rate * scale * grad_centers
+    return value, grad_feature, res.grad_weights
 
 
 def save_model(model: MlpModel, path) -> None:
-    """Persist all parameters to an .npz archive."""
+    """Persist all parameters as an .npz archive; ``path`` may be a binary file handle."""
     arrays = {
         "n_hidden": np.array(len(model.hidden_weights), dtype=np.int64),
         "classifier_weights": model.classifier.weights,

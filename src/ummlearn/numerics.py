@@ -8,8 +8,6 @@ so the hot loss/gradient paths can assume clean inputs.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import DimensionError, DomainError, ParameterError
@@ -43,65 +41,40 @@ def as_matrix(data, name: str = "matrix") -> DenseMatrix:
     return arr
 
 
-def dot(a, b) -> float:
-    """Inner product of two equal-length vectors."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
-        raise DimensionError(f"dot requires equal-length vectors, got {a.shape} and {b.shape}")
-    return float(np.dot(a, b))
-
-
-def erf(x: float) -> float:
-    """Gauss error function.
-
-    Delegates to the platform libm implementation, which is correctly
-    rounded and therefore well within the 1e-12 absolute error budget the
-    misclassification probabilities require.
-    """
-    return math.erf(x)
-
-
-def chebyshev_t(x: float, m: int) -> tuple[float, float]:
+def chebyshev(x, m) -> tuple[np.ndarray, np.ndarray]:
     """First-kind Chebyshev polynomial T_m(x) and its derivative T_m'(x).
 
-    Uses the three-term recurrence T_0 = 1, T_1 = x,
-    T_m = 2 x T_{m-1} - T_{m-2}, differentiated alongside.
+    Elementwise in ``x`` and in the integer degree ``m`` (a scalar or one
+    per element, 1 <= m <= M_MAX). Uses the three-term recurrence
+    T_0 = 1, T_1 = x, T_k = 2 x T_{k-1} - T_{k-2}, differentiated alongside.
     """
-    if not isinstance(m, (int, np.integer)) or not 1 <= m <= M_MAX:
+    x = np.asarray(x, dtype=np.float64)
+    m = np.asarray(m)
+    if m.dtype.kind not in "iu" or np.any(m < 1) or np.any(m > M_MAX):
         raise ParameterError(f"m must be an integer in [1, {M_MAX}], got {m!r}")
-    t_prev, t_cur = 1.0, float(x)
-    d_prev, d_cur = 0.0, 1.0
-    for _ in range(m - 1):
-        t_next = 2.0 * x * t_cur - t_prev
-        d_next = 2.0 * t_cur + 2.0 * x * d_cur - d_prev
-        t_prev, t_cur = t_cur, t_next
-        d_prev, d_cur = d_cur, d_next
-    return t_cur, d_cur
+    t, d = [np.ones_like(x), x], [np.zeros_like(x), np.ones_like(x)]
+    for _ in range(int(m.max()) - 1):
+        t.append(2.0 * x * t[-1] - t[-2])
+        d.append(2.0 * t[-2] + 2.0 * x * d[-1] - d[-2])
+    return np.choose(m, t), np.choose(m, d)
 
 
-def cos_m_theta(cos_alpha: float, m: int) -> float:
+def cos_m_theta(cos_alpha, m):
     """cos(m * arccos(cos_alpha)) evaluated as the Chebyshev polynomial T_m.
 
     Polynomial evaluation keeps the expression differentiable in
-    ``cos_alpha`` everywhere, unlike the arccos route.
+    ``cos_alpha`` everywhere, unlike the arccos route. Elementwise; a scalar
+    input gives a scalar.
     """
-    if not -1.0 <= cos_alpha <= 1.0:
+    c = np.asarray(cos_alpha, dtype=np.float64)
+    if not np.all(np.abs(c) <= 1.0):
         raise DomainError(f"cos_alpha must lie in [-1, 1], got {cos_alpha!r}")
-    value, _ = chebyshev_t(float(cos_alpha), m)
-    return value
-
-
-def stable_log_sum_exp(values) -> float:
-    """log(sum(exp(v_i))) with max-subtraction so large logits never overflow."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise DimensionError("stable_log_sum_exp requires a nonempty 1-D input")
-    m = float(np.max(v))
-    return m + float(np.log(np.sum(np.exp(v - m))))
+    return chebyshev(c, m)[0][()]
 
 
 def log_sum_exp_rows(values: DenseMatrix) -> DenseVector:
-    """Row-wise stable log-sum-exp for batched logits."""
+    """Row-wise log(sum_j exp(v_ij)), with max subtraction so large logits never overflow."""
+    if values.ndim != 2 or values.shape[1] == 0:
+        raise DimensionError(f"log_sum_exp_rows needs nonempty rows, got shape {values.shape}")
     m = np.max(values, axis=1, keepdims=True)
     return (m + np.log(np.sum(np.exp(values - m), axis=1, keepdims=True)))[:, 0]

@@ -10,15 +10,18 @@ Gaussian whose moments feed a closed-form misclassification probability.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, LabelError, ParameterError
 from .margin_loss import ClassifierState
-from .numerics import DenseMatrix, DenseVector, as_matrix, as_vector, erf
+from .numerics import DenseMatrix, DenseVector, as_matrix
 
 logger = logging.getLogger(__name__)
+
+_erf = np.vectorize(math.erf, otypes=[np.float64])
 
 
 @dataclass(frozen=True)
@@ -79,14 +82,6 @@ def sample_dropout_masks(
     ]
 
 
-def mc_mean(outputs) -> DenseVector:
-    """Elementwise average of the N stacked ensemble outputs."""
-    stack = as_matrix(outputs, "outputs")
-    if stack.shape[0] == 0:
-        raise DimensionError("mc_mean requires at least one ensemble output")
-    return stack.mean(axis=0)
-
-
 def mc_uncertainty(
     outputs, cfg: EnsembleConfig, true_class: int | None = None
 ) -> UncertaintyEstimate:
@@ -137,52 +132,63 @@ def class_uncertainty(estimates, labels, n_classes: int | None = None) -> np.nda
     return result
 
 
-def sample_feature_moments(feature_stack) -> tuple[DenseVector, DenseVector]:
-    """Per-dimension mean and biased (1/N) variance of N stacked feature vectors."""
-    stack = as_matrix(feature_stack, "feature_stack")
-    if stack.shape[0] < 2:
+def sample_feature_moments(feature_stack) -> tuple[np.ndarray, np.ndarray]:
+    """Per-dimension mean and biased (1/N) variance of N stacked feature vectors.
+
+    ``feature_stack`` is (N, d), or (B, N, d) for a batch of samples; the
+    moments are (d,) or (B, d).
+    """
+    stack = np.asarray(feature_stack, dtype=np.float64)
+    if stack.ndim not in (2, 3):
+        raise DimensionError(f"feature_stack must be (N, d) or (B, N, d), got shape {stack.shape}")
+    if stack.shape[-2] < 2:
         raise ConfigurationError("feature moments need at least two ensemble passes")
-    mu = stack.mean(axis=0)
-    sigma = np.mean((stack - mu) ** 2, axis=0)
+    mu = stack.mean(axis=-2)
+    sigma = np.mean((stack - mu[..., None, :]) ** 2, axis=-2)
     return mu, sigma
 
 
-def error_moments(w_j, w_y, mu_f, sigma_f) -> tuple[float, float]:
-    """Moments of the error variable (w_j - w_y) . f for a diagonal Gaussian f."""
-    w_j = as_vector(w_j, "w_j")
-    w_y = as_vector(w_y, "w_y")
-    mu_f = as_vector(mu_f, "mu_f")
-    sigma_f = as_vector(sigma_f, "sigma_f")
-    if not w_j.shape == w_y.shape == mu_f.shape == sigma_f.shape:
-        raise DimensionError("error_moments requires equal-dimension inputs")
+def error_moments(w_j, w_y, mu_f, sigma_f) -> tuple[np.ndarray, np.ndarray]:
+    """Moments of the error variable (w_j - w_y) . f for a diagonal Gaussian f.
+
+    All four inputs are (d,), or (B, d) with one row per sample.
+    """
+    w_j, w_y, mu_f, sigma_f = (np.asarray(v, dtype=np.float64) for v in (w_j, w_y, mu_f, sigma_f))
+    if not w_j.shape == w_y.shape == mu_f.shape == sigma_f.shape or w_j.ndim not in (1, 2):
+        raise DimensionError("error_moments requires equal-shape (d,) or (B, d) inputs")
     diff = w_j - w_y
-    mu_e = float(diff @ mu_f)
-    var_e = float(np.sum(diff * diff * sigma_f))
-    return mu_e, var_e
+    mu_e = (diff[..., None, :] @ mu_f[..., :, None])[..., 0, 0]  # one dot product per row
+    var_e = np.sum(diff * diff * sigma_f, axis=-1)
+    return mu_e[()], var_e[()]
 
 
-def misclassification_ccdf(mu_e: float, var_e: float) -> float:
-    """P(error > 0) = 0.5 (1 + erf(mu_E / sqrt(2 sigma_E^2))).
+def misclassification_ccdf(mu_e, var_e):
+    """P(error > 0) = 0.5 (1 + erf(mu_E / sqrt(2 sigma_E^2))), elementwise.
 
     A zero variance degenerates to the pointwise limit: a step at mu_E = 0
-    with value 0.5 at the step itself.
+    with value 0.5 at the step itself. ``math.erf`` is applied per element:
+    it is correctly rounded, and numpy has no erf.
     """
-    if var_e < 0:
+    mu_e = np.asarray(mu_e, dtype=np.float64)
+    var_e = np.asarray(var_e, dtype=np.float64)
+    if np.any(var_e < 0):
         raise ParameterError(f"variance must be nonnegative, got {var_e!r}")
-    if var_e == 0.0:
-        if mu_e > 0:
-            return 1.0
-        if mu_e < 0:
-            return 0.0
-        return 0.5
-    return 0.5 * (1.0 + erf(mu_e / np.sqrt(2.0 * var_e)))
+    erfs = _erf(mu_e / np.sqrt(2.0 * np.where(var_e > 0, var_e, 1.0)))
+    step = np.where(mu_e > 0, 1.0, np.where(mu_e < 0, 0.0, 0.5))
+    return np.where(var_e > 0, 0.5 * (1.0 + erfs), step)[()]
 
 
-def rival_class(state: ClassifierState, mu_f, y: int) -> int:
-    """Strongest rival argmax_{j != y} w_j . mu_f, ties broken by lowest index."""
-    mu_f = as_vector(mu_f, "mu_f")
-    if not 0 <= y < state.n_classes:
+def rival_class(state: ClassifierState, mu_f, y):
+    """Strongest rival argmax_{j != y} w_j . mu_f, ties broken by lowest index.
+
+    ``mu_f`` is (d,) with an integer ``y``, or (B, d) with one label per row.
+    """
+    mu_f = np.asarray(mu_f, dtype=np.float64)
+    y = np.asarray(y)
+    if mu_f.shape[:-1] != y.shape or mu_f.shape[-1:] != (state.feature_dim,):
+        raise DimensionError("rival_class needs one label per mean feature row")
+    if np.any(y < 0) or np.any(y >= state.n_classes):
         raise LabelError(f"label {y} out of range")
-    scores = state.weights @ mu_f
-    scores[y] = -np.inf
-    return int(np.argmax(scores))
+    scores = mu_f @ state.weights.T
+    np.put_along_axis(scores, y[..., None], -np.inf, axis=-1)
+    return np.argmax(scores, axis=-1)[()]

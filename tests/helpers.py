@@ -27,39 +27,63 @@ def normal_cdf_simpson(x: float, lo: float = -12.0, n: int = 40001) -> float:
     return float(h / 3.0 * np.sum(w * pdf))
 
 
-def random_classifier_instance(rng, n_classes=4, dim=6, margin=None, away_from_psi_kinks=True):
-    """Random (state, feature, label) kept in the finite-difference-friendly
-    regime: moderate logits (no saturated coordinates below the noise floor),
-    the true-class cosine away from the arccos poles, and, when a margin is
+def fd_friendly(state, f, y, margin=None) -> bool:
+    """Whether row (f, y) sits in the finite-difference-friendly regime:
+    moderate logits (no saturated coordinates below the noise floor), the
+    true-class cosine away from the arccos poles, and, when a margin is
     given, the angle away from psi segment boundaries."""
+    logits = state.weights @ f
+    if np.max(logits) - np.min(logits) > 9.0:
+        return False
+    w_y = state.weights[y]
+    cos = float(w_y @ f / (np.linalg.norm(w_y) * np.linalg.norm(f)))
+    if abs(cos) > 0.9:
+        return False
+    if margin is None:
+        return True
+    alpha = math.acos(max(-1.0, min(1.0, cos)))
+    return min(abs(alpha - r * math.pi / margin) for r in range(margin + 1)) > 1e-2
+
+
+def random_classifier_instance(rng, n_classes=4, dim=6, margin=None, away_from_psi_kinks=True):
+    """Random (state, feature, label) with the row in the fd_friendly regime."""
     while True:
         state = ClassifierState(0.7 * rng.standard_normal((n_classes, dim)))
         f = rng.standard_normal(dim)
         y = int(rng.integers(0, n_classes))
-        logits = state.weights @ f
-        if np.max(logits) - np.min(logits) > 9.0:
-            continue
-        w_y = state.weights[y]
-        cos = float(w_y @ f / (np.linalg.norm(w_y) * np.linalg.norm(f)))
-        if abs(cos) > 0.9:
-            continue
-        if not away_from_psi_kinks or margin is None:
+        if fd_friendly(state, f, y, margin if away_from_psi_kinks else None):
             return state, f, y
-        alpha = math.acos(max(-1.0, min(1.0, cos)))
-        dist = min(abs(alpha - r * math.pi / margin) for r in range(margin + 1))
-        if dist > 1e-2:
-            return state, f, y
+
+
+def random_batch_instance(rng, margins, n_classes=4, dim=6):
+    """One random state plus one fd_friendly row per entry of ``margins``."""
+    state = ClassifierState(0.7 * rng.standard_normal((n_classes, dim)))
+    feats, labels = [], []
+    for m in margins:
+        while True:
+            f = rng.standard_normal(dim)
+            y = int(rng.integers(0, n_classes))
+            if fd_friendly(state, f, y, int(m)):
+                break
+        feats.append(f)
+        labels.append(y)
+    return state, np.array(feats), np.array(labels)
 
 
 def flatten_instance(state, f):
-    return np.concatenate([state.weights.ravel(), f])
+    return np.concatenate([state.weights.ravel(), np.ravel(f)])
 
 
 def loss_value_fn(loss_fn, n_classes, dim, y):
-    """Wrap a LossResult-producing callable as value(params_flat)."""
+    """Wrap a LossResult-producing callable as value(params_flat), on a batch of one."""
 
     def value(x):
         state = ClassifierState(x[: n_classes * dim].reshape(n_classes, dim))
-        return loss_fn(state, x[n_classes * dim :], y).value
+        return loss_fn(state, x[None, n_classes * dim :], [y]).value
 
     return value
+
+
+def analytic_gradient(res):
+    """(grad_weights, grad_feature) of a LossResult as one flat vector."""
+    return np.concatenate([res.grad_weights.ravel(), res.grad_feature.ravel()])

@@ -38,6 +38,7 @@ from ummlearn.margin_loss import (
 from ummlearn.network import (
     MlpModel,
     TrainConfig,
+    backward,
     ensemble_class_uncertainty,
     forward,
     train,
@@ -58,12 +59,12 @@ def report(num: int, name: str, ok: bool, detail: str = "") -> None:
 
 def margin_instance_grad_error(rng, loss_fn, margin=None):
     state, f, y = random_classifier_instance(rng, margin=margin)
-    res = loss_fn(state, f, y)
-    analytic = np.concatenate([res.grad_weights.ravel(), res.grad_feature])
+    res = loss_fn(state, f[None], [y])
+    analytic = np.concatenate([res.grad_weights.ravel(), res.grad_feature.ravel()])
 
     def value(x):
         s = ClassifierState(x[:24].reshape(4, 6))
-        return loss_fn(s, x[24:], y).value
+        return loss_fn(s, x[None, 24:], [y]).value
 
     numeric = central_difference(value, np.concatenate([state.weights.ravel(), f]))
     return relative_errors(analytic, numeric).max()
@@ -208,26 +209,11 @@ class TestCriterion1GradientSuite:
 
             def batch_value(x):
                 m = rebuild(x)
-                cache = forward(m, xb)
-                return float(
-                    np.mean(
-                        [
-                            softmax_loss(m.classifier, cache.feature[i], int(yb[i])).value
-                            for i in range(4)
-                        ]
-                    )
-                )
+                return softmax_loss(m.classifier, forward(m, xb).feature, yb).value
 
             cache = forward(model, xb)
-            gf = np.zeros_like(cache.feature)
-            gc = np.zeros_like(model.classifier.weights)
-            for i in range(4):
-                res = softmax_loss(model.classifier, cache.feature[i], int(yb[i]))
-                gf[i] = res.grad_feature / 4
-                gc += res.grad_weights / 4
-            from ummlearn.network import backward
-
-            grads = backward(model, cache, gf, gc)
+            res = softmax_loss(model.classifier, cache.feature, yb)
+            grads = backward(model, cache, res.grad_feature, res.grad_weights)
             analytic = np.concatenate(
                 [g.ravel() for g in grads.hidden_weights]
                 + [g.ravel() for g in grads.hidden_biases]
@@ -251,8 +237,8 @@ class TestCriterion2ReductionIdentities:
         worst_sm = 0.0
         for _ in range(50):
             state, f, y = random_classifier_instance(rng)
-            uw = uncertainty_weighted_margin_loss(state, f, y, 1, 1.0)
-            sm = softmax_loss(state, f, y)
+            uw = uncertainty_weighted_margin_loss(state, f[None], [y], 1, 1.0)
+            sm = softmax_loss(state, f[None], [y])
             worst_sm = max(worst_sm, abs(uw.value - sm.value))
 
         worst_cl = 0.0
@@ -276,9 +262,8 @@ class TestCriterion3ChebyshevIdentity:
         rng = np.random.default_rng(3003)
         alphas = rng.uniform(0.0, math.pi, 1000)
         worst = max(
-            abs(cos_m_theta(math.cos(a), m) - math.cos(m * a))
+            np.max(np.abs(cos_m_theta(np.cos(alphas), m) - np.cos(m * alphas)))
             for m in range(1, 7)
-            for a in alphas
         )
         ok = worst < 1e-9
         report(3, "Chebyshev identity over 1000 angles, m in 1..6", ok, f"max dev {worst:.1e}")
@@ -290,7 +275,7 @@ class TestCriterion4PsiProperties:
         grid = np.linspace(0.0, math.pi, 10_000)
         monotone = True
         for m in range(1, 7):
-            vals = np.array([psi(float(a), m) for a in grid])
+            vals = psi(grid, m)
             if not np.all(np.diff(vals) <= 1e-12):
                 monotone = False
         continuous = True

@@ -85,6 +85,10 @@ class TestTrainCommand:
         assert (out / "config.txt").exists()
         assert (out / "metrics.csv").exists()
         assert (out / "model.npz").exists()
+        # every artifact arrives by rename: no temporary file is left behind
+        assert sorted(p.name for p in out.iterdir()) == [
+            "config.txt", "metrics.csv", "model.npz", "test.csv", "train.csv"
+        ]
         header = (out / "metrics.csv").read_text().splitlines()[0]
         assert header == "epoch,phase,loss,accuracy,bca,g_mean,recall_0,recall_1"
         model = load_model(out / "model.npz")
@@ -97,6 +101,23 @@ class TestTrainCommand:
         assert main(["train", "--config", str(config_path), "--out", str(out_b)]) == 0
         assert (out_a / "metrics.csv").read_bytes() == (out_b / "metrics.csv").read_bytes()
         assert (out_a / "config.txt").read_bytes() == (out_b / "config.txt").read_bytes()
+
+    def test_failed_write_keeps_previous_artifact(self, config_path, tmp_path, monkeypatch):
+        import ummlearn.data
+
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(config_path), "--out", str(out)]) == 0
+        before = (out / "train.csv").read_bytes()
+
+        def broken_save_csv(ds, path):
+            with open(path, "w") as fh:
+                fh.write("f0,f1,label\n")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(ummlearn.data, "save_csv", broken_save_csv)
+        assert main(["train", "--config", str(config_path), "--out", str(out), "--seed", "6"]) == 1
+        assert (out / "train.csv").read_bytes() == before
+        assert not [p.name for p in out.iterdir() if p.name.startswith(".")]
 
     def test_seed_flag_overrides(self, config_path, tmp_path):
         out_a = tmp_path / "a"
@@ -169,6 +190,45 @@ class TestReportingCommands:
         test_ds = load_csv(out / "test.csv")
         assert lines[0] == "x,y,label"
         assert len(lines) == 1 + test_ds.n_samples
+
+    @staticmethod
+    def score(command, run_dir, data_path, out=None):
+        argv = [command, "--model", str(run_dir / "model.npz"), "--data", str(data_path)]
+        return main(argv + (["--out", str(out)] if out else []))
+
+    @pytest.mark.parametrize("command", ["eval", "uncertainty"])
+    def test_csv_without_top_class_sized_by_model(self, command, run_dir, tmp_path, capsys):
+        path = tmp_path / "class0.csv"
+        path.write_text("f0,f1,label\n-1.5,0.25,0\n-2.0,-0.5,0\n")
+        assert self.score(command, run_dir, path, tmp_path / "out") == 0
+        text = capsys.readouterr().out
+        if command == "eval":
+            assert "recall_1," in text
+            assert "bca,nan" in text
+        else:
+            assert text.splitlines()[2].startswith("1,0,0,")  # class 1: no rows
+
+    @pytest.mark.parametrize("command", ["eval", "uncertainty"])
+    def test_non_finite_feature_exit_code_2(self, command, run_dir, tmp_path, capsys):
+        path = tmp_path / "nan.csv"
+        path.write_text("f0,f1,label\n0.5,0.5,0\nnan,0.5,1\n")
+        assert self.score(command, run_dir, path) == 2
+        err = capsys.readouterr().err
+        assert "line 3" in err and "non-finite" in err
+
+    @pytest.mark.parametrize("command", ["eval", "uncertainty"])
+    def test_dimension_mismatch_exit_code_2(self, command, run_dir, tmp_path, capsys):
+        path = tmp_path / "wide.csv"
+        path.write_text("f0,f1,f2,label\n0.5,0.5,0.5,0\n0.5,-0.5,1.0,1\n")
+        assert self.score(command, run_dir, path) == 2
+        assert "3 features per row, the model takes 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "uncertainty"])
+    def test_label_beyond_model_exit_code_2(self, command, run_dir, tmp_path, capsys):
+        path = tmp_path / "extra.csv"
+        path.write_text("f0,f1,label\n0.5,0.5,0\n0.5,-0.5,2\n")
+        assert self.score(command, run_dir, path) == 2
+        assert "label 2, the model has 2 classes" in capsys.readouterr().err
 
     def test_gradcheck_command(self, capsys):
         for loss in ("softmax", "large-margin", "uncertainty-weighted", "angular-i", "angular-ii"):

@@ -23,15 +23,15 @@ class TestCentralDifference:
         f = rng.standard_normal(4)
 
         def value(x):
-            return softmax_loss(ClassifierState(x[:12].reshape(3, 4)), x[12:], 1).value
+            return softmax_loss(ClassifierState(x[:12].reshape(3, 4)), x[None, 12:], [1]).value
 
         x0 = np.concatenate([state.weights.ravel(), f])
         g5 = central_difference(value, x0, h=1e-5)
         g6 = central_difference(value, x0, h=1e-6)
         assert np.max(np.abs(g5 - g6)) < 1e-5
 
-        res = softmax_loss(state, f, 1)
-        analytic = np.concatenate([res.grad_weights.ravel(), res.grad_feature])
+        res = softmax_loss(state, f[None], [1])
+        analytic = np.concatenate([res.grad_weights.ravel(), res.grad_feature.ravel()])
         assert relative_errors(analytic, g5).max() < 1e-4
 
 

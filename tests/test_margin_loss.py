@@ -5,14 +5,21 @@ import math
 import numpy as np
 import pytest
 
-from helpers import flatten_instance, loss_value_fn, random_classifier_instance
+from helpers import (
+    analytic_gradient,
+    flatten_instance,
+    loss_value_fn,
+    random_batch_instance,
+    random_classifier_instance,
+)
 from ummlearn.errors import (
     DegenerateNormError,
+    DimensionError,
     DomainError,
     LabelError,
     ParameterError,
 )
-from ummlearn.gradcheck import central_difference, relative_errors
+from ummlearn.gradcheck import central_difference, check, relative_errors
 from ummlearn.margin_loss import (
     ClassifierState,
     angular_margin_loss,
@@ -34,28 +41,28 @@ TRIANGLE_DEVIATION_ORACLE = 0.2829540921741458
 class TestSoftmaxLoss:
     def test_equal_logits_two_classes(self):
         state = ClassifierState(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        f = np.array([1.0, 1.0])
-        res = softmax_loss(state, f, 0)
+        f = np.array([[1.0, 1.0]])
+        res = softmax_loss(state, f, [0])
         assert res.value == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_saturated_correct_class(self):
         # logits (10, -10, -10) via orthogonal unit rows
         state = ClassifierState(np.eye(3))
-        f = np.array([10.0, -10.0, -10.0])
-        res = softmax_loss(state, f, 0)
+        f = np.array([[10.0, -10.0, -10.0]])
+        res = softmax_loss(state, f, [0])
         assert res.value == pytest.approx(0.0, abs=1e-4)
 
     def test_label_out_of_range(self):
         state = ClassifierState(np.eye(2))
         with pytest.raises(LabelError):
-            softmax_loss(state, np.ones(2), 5)
+            softmax_loss(state, np.ones((1, 2)), [5])
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(21)
         for _ in range(30):
             state, f, y = random_classifier_instance(rng)
-            res = softmax_loss(state, f, y)
-            analytic = np.concatenate([res.grad_weights.ravel(), res.grad_feature])
+            res = softmax_loss(state, f[None], [y])
+            analytic = analytic_gradient(res)
             numeric = central_difference(
                 loss_value_fn(softmax_loss, 4, 6, y), flatten_instance(state, f)
             )
@@ -82,7 +89,7 @@ class TestPsi:
     def test_monotone_decreasing(self):
         grid = np.linspace(0.0, math.pi, 10_000)
         for m in range(1, M_MAX + 1):
-            vals = np.array([psi(float(a), m) for a in grid])
+            vals = psi(grid, m)
             assert np.all(np.diff(vals) <= 1e-12)
 
     def test_segment_continuity(self):
@@ -121,8 +128,8 @@ class TestLargeMarginSoftmax:
         rng = np.random.default_rng(8)
         for _ in range(20):
             state, f, y = random_classifier_instance(rng)
-            plain = softmax_loss(state, f, y)
-            lm = large_margin_softmax_loss(state, f, y, 1)
+            plain = softmax_loss(state, f[None], [y])
+            lm = large_margin_softmax_loss(state, f[None], [y], 1)
             assert lm.value == pytest.approx(plain.value, abs=1e-12)
             np.testing.assert_allclose(lm.grad_weights, plain.grad_weights, atol=1e-10)
             np.testing.assert_allclose(lm.grad_feature, plain.grad_feature, atol=1e-10)
@@ -132,18 +139,18 @@ class TestLargeMarginSoftmax:
         # norm product and the loss sits below the rival-driven level
         w = np.array([[2.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
         state = ClassifierState(w)
-        f = np.array([3.0, 0.0])
-        res = large_margin_softmax_loss(state, f, 0, 3)
-        plain = softmax_loss(state, f, 0)
+        f = np.array([[3.0, 0.0]])
+        res = large_margin_softmax_loss(state, f, [0], 3)
+        plain = softmax_loss(state, f, [0])
         assert res.value == pytest.approx(plain.value, abs=1e-6)
 
     def test_penalizes_true_class(self):
         rng = np.random.default_rng(9)
         for _ in range(50):
             state, f, y = random_classifier_instance(rng)
-            plain = softmax_loss(state, f, y)
+            plain = softmax_loss(state, f[None], [y])
             for m in (2, 3, 4):
-                lm = large_margin_softmax_loss(state, f, y, m)
+                lm = large_margin_softmax_loss(state, f[None], [y], m)
                 assert lm.value >= plain.value - 1e-10
 
     @pytest.mark.parametrize("m", [2, 3])
@@ -151,8 +158,8 @@ class TestLargeMarginSoftmax:
         rng = np.random.default_rng(100 + m)
         for _ in range(30):
             state, f, y = random_classifier_instance(rng, margin=m)
-            res = large_margin_softmax_loss(state, f, y, m)
-            analytic = np.concatenate([res.grad_weights.ravel(), res.grad_feature])
+            res = large_margin_softmax_loss(state, f[None], [y], m)
+            analytic = analytic_gradient(res)
             numeric = central_difference(
                 loss_value_fn(lambda s, v, yy: large_margin_softmax_loss(s, v, yy, m), 4, 6, y),
                 flatten_instance(state, f),
@@ -160,19 +167,23 @@ class TestLargeMarginSoftmax:
             assert relative_errors(analytic, numeric).max() < 1e-4
 
     def test_degenerate_feature_norm(self):
+        # a numerically zero feature takes the plain softmax loss
         state = ClassifierState(np.eye(2))
-        with pytest.raises(DegenerateNormError):
-            large_margin_softmax_loss(state, np.zeros(2), 0, 2)
+        res = large_margin_softmax_loss(state, np.zeros((1, 2)), [0], 2)
+        plain = softmax_loss(state, np.zeros((1, 2)), [0])
+        assert res.value == plain.value
+        np.testing.assert_array_equal(res.grad_weights, plain.grad_weights)
+        np.testing.assert_array_equal(res.grad_feature, plain.grad_feature)
 
     def test_degenerate_weight_norm(self):
         state = ClassifierState(np.array([[1.0, 0.0], [0.0, 0.0]]))
         with pytest.raises(DegenerateNormError):
-            large_margin_softmax_loss(state, np.ones(2), 0, 2)
+            large_margin_softmax_loss(state, np.ones((1, 2)), [0], 2)
 
     def test_margin_out_of_range(self):
         state = ClassifierState(np.eye(2))
         with pytest.raises(ParameterError):
-            large_margin_softmax_loss(state, np.ones(2), 0, 9)
+            large_margin_softmax_loss(state, np.ones((1, 2)), [0], 9)
 
 
 class TestUncertaintyWeightedLoss:
@@ -180,23 +191,23 @@ class TestUncertaintyWeightedLoss:
         rng = np.random.default_rng(12)
         for _ in range(20):
             state, f, y = random_classifier_instance(rng)
-            plain = softmax_loss(state, f, y)
-            uw = uncertainty_weighted_margin_loss(state, f, y, 1, 1.0)
+            plain = softmax_loss(state, f[None], [y])
+            uw = uncertainty_weighted_margin_loss(state, f[None], [y], 1, 1.0)
             assert uw.value == pytest.approx(plain.value, abs=1e-12)
 
     def test_ccdf_one_equals_large_margin(self):
         rng = np.random.default_rng(13)
         for _ in range(20):
             state, f, y = random_classifier_instance(rng, margin=3)
-            lm = large_margin_softmax_loss(state, f, y, 3)
-            uw = uncertainty_weighted_margin_loss(state, f, y, 3, 1.0)
+            lm = large_margin_softmax_loss(state, f[None], [y], 3)
+            uw = uncertainty_weighted_margin_loss(state, f[None], [y], 3, 1.0)
             assert uw.value == pytest.approx(lm.value, abs=1e-12)
             np.testing.assert_allclose(uw.grad_weights, lm.grad_weights, atol=1e-12)
 
     def test_ccdf_zero_m1_zeroes_true_logit(self):
         state = ClassifierState(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        f = np.array([2.0, 1.0])
-        uw = uncertainty_weighted_margin_loss(state, f, 0, 1, 0.0)
+        f = np.array([[2.0, 1.0]])
+        uw = uncertainty_weighted_margin_loss(state, f, [0], 1, 0.0)
         # true-class contribution is exp(0); rival logit is w_1 . f = 1
         expected = -math.log(1.0 / (1.0 + math.exp(1.0)))
         assert uw.value == pytest.approx(expected, abs=1e-12)
@@ -205,8 +216,8 @@ class TestUncertaintyWeightedLoss:
         rng = np.random.default_rng(14)
         for _ in range(30):
             state, f, y = random_classifier_instance(rng, margin=2)
-            res = uncertainty_weighted_margin_loss(state, f, y, 2, 0.5)
-            analytic = np.concatenate([res.grad_weights.ravel(), res.grad_feature])
+            res = uncertainty_weighted_margin_loss(state, f[None], [y], 2, 0.5)
+            analytic = analytic_gradient(res)
             numeric = central_difference(
                 loss_value_fn(
                     lambda s, v, yy: uncertainty_weighted_margin_loss(s, v, yy, 2, 0.5), 4, 6, y
@@ -218,7 +229,7 @@ class TestUncertaintyWeightedLoss:
     def test_ccdf_out_of_range(self):
         state = ClassifierState(np.eye(2))
         with pytest.raises(ParameterError):
-            uncertainty_weighted_margin_loss(state, np.ones(2), 0, 1, 1.5)
+            uncertainty_weighted_margin_loss(state, np.ones((1, 2)), [0], 1, 1.5)
 
 
 class TestAngularVariants:
@@ -240,9 +251,7 @@ class TestAngularVariants:
     def test_variant_i_triangle_deviation_frozen(self):
         theta = np.linspace(0.0, math.pi, 100_001)
         tri = 1.0 - 2.0 * theta / math.pi
-        dev = max(
-            abs(angular_variant_i(math.cos(t), 2.0) - w) for t, w in zip(theta, tri)
-        )
+        dev = np.max(np.abs(angular_variant_i(np.cos(theta), 2.0) - tri))
         assert dev == pytest.approx(TRIANGLE_DEVIATION_ORACLE, abs=1e-9)
 
     def test_variant_ii_endpoints_frozen(self):
@@ -251,8 +260,8 @@ class TestAngularVariants:
 
     def test_variant_ii_monotone_grid_scan(self):
         grid = np.linspace(-1.0, 1.0, 20_001)
-        vals = [angular_variant_ii(float(c), 3.0) for c in grid]
-        assert all(b > a for a, b in zip(vals, vals[1:]))
+        vals = angular_variant_ii(grid, 3.0)
+        assert np.all(np.diff(vals) > 0)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -267,8 +276,8 @@ class TestAngularMarginLoss:
         rng = np.random.default_rng(31 if variant == "i" else 32)
         for _ in range(25):
             state, f, y = random_classifier_instance(rng)
-            res = angular_margin_loss(state, f, y, variant=variant)
-            analytic = np.concatenate([res.grad_weights.ravel(), res.grad_feature])
+            res = angular_margin_loss(state, f[None], [y], variant=variant)
+            analytic = analytic_gradient(res)
             numeric = central_difference(
                 loss_value_fn(
                     lambda s, v, yy: angular_margin_loss(s, v, yy, variant=variant), 4, 6, y
@@ -276,3 +285,77 @@ class TestAngularMarginLoss:
                 flatten_instance(state, f),
             )
             assert relative_errors(analytic, numeric).max() < 1e-4
+
+
+SELECTORS = {
+    "softmax": lambda s, f, y, m, q: softmax_loss(s, f, y),
+    "large-margin": lambda s, f, y, m, q: large_margin_softmax_loss(s, f, y, m, blend=0.15),
+    "uncertainty-weighted": lambda s, f, y, m, q: uncertainty_weighted_margin_loss(
+        s, f, y, m, q, blend=0.15
+    ),
+    "angular-i": lambda s, f, y, m, q: angular_margin_loss(s, f, y, "i"),
+    "angular-ii": lambda s, f, y, m, q: angular_margin_loss(s, f, y, "ii"),
+}
+
+
+class TestBatchKernel:
+    """A B-row batch against its B one-row calls, and the gradient oracle on a whole batch."""
+
+    def mixed_batch(self):
+        rng = np.random.default_rng(61)
+        state = ClassifierState(0.7 * rng.standard_normal((4, 6)))
+        labels = np.array([0, 1, 2, 3, 0, 1, 2, 3])
+        feats = rng.standard_normal((8, 6))
+        feats[2] = 0.0  # softmax fallback
+        feats[5] = 2.5 * state.weights[labels[5]]  # cosine clipped at +1
+        w5 = state.weights[labels[5]]
+        assert w5 @ feats[5] / (np.linalg.norm(w5) * np.linalg.norm(feats[5])) > 1.0 - 1e-12
+        margins = np.array([1, 2, 3, 4, 5, 6, 3, 2])
+        ccdfs = rng.uniform(0.0, 1.0, 8)
+        return state, feats, labels, margins, ccdfs
+
+    @pytest.mark.parametrize("selector", sorted(SELECTORS))
+    def test_batch_equals_mean_of_rows(self, selector):
+        loss = SELECTORS[selector]
+        state, feats, labels, margins, ccdfs = self.mixed_batch()
+        n = labels.size
+        whole = loss(state, feats, labels, margins, ccdfs)
+        rows = [
+            loss(state, feats[i : i + 1], labels[i : i + 1], margins[i], ccdfs[i])
+            for i in range(n)
+        ]
+        assert whole.value == pytest.approx(np.mean([r.value for r in rows]), abs=1e-12)
+        np.testing.assert_allclose(
+            whole.grad_weights, np.mean([r.grad_weights for r in rows], axis=0), rtol=0, atol=1e-12
+        )
+        np.testing.assert_allclose(
+            whole.grad_feature * n, np.concatenate([r.grad_feature for r in rows]), rtol=0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("selector", sorted(SELECTORS))
+    def test_whole_batch_gradcheck(self, selector):
+        loss = SELECTORS[selector]
+        rng = np.random.default_rng(62)
+        margins = np.array([1, 2, 3, 2, 1])
+        ccdfs = rng.uniform(0.0, 1.0, margins.size)
+        state, feats, labels = random_batch_instance(rng, margins)
+        c, d = state.weights.shape
+
+        def value(x):
+            s = ClassifierState(x[: c * d].reshape(c, d))
+            return loss(s, x[c * d :].reshape(feats.shape), labels, margins, ccdfs).value
+
+        res = loss(state, feats, labels, margins, ccdfs)
+        report = check(value, analytic_gradient(res), flatten_instance(state, feats))
+        assert report.passed, str(report)
+
+    def test_per_row_shapes_checked(self):
+        state, feats, labels, margins, ccdfs = self.mixed_batch()
+        with pytest.raises(DimensionError):
+            large_margin_softmax_loss(state, feats, labels, margins[:3])
+        with pytest.raises(DimensionError):
+            uncertainty_weighted_margin_loss(state, feats, labels, 2, ccdfs[:3])
+        with pytest.raises(DimensionError):
+            softmax_loss(state, feats[0], labels[:1])
+        with pytest.raises(LabelError):
+            softmax_loss(state, feats, labels[:3])

@@ -9,7 +9,6 @@ from ummlearn.metrics import (
     bca,
     g_mean,
     iba,
-    per_class_stddev,
     precision_recall_f1,
 )
 
@@ -141,15 +140,3 @@ class TestIba:
             direct.append((1 + 0.1 * (tpr - tnr)) * tpr * tnr)
         assert iba(c) == pytest.approx(np.mean(direct), abs=1e-12)
 
-
-class TestPerClassStddev:
-    def test_identical_values(self):
-        assert per_class_stddev([0.7, 0.7, 0.7]) == pytest.approx(0.0, abs=1e-12)
-
-    def test_hand_value(self):
-        assert per_class_stddev([0.0, 2.0]) == pytest.approx(1.0)
-
-    def test_matches_numpy_population_std(self):
-        rng = np.random.default_rng(7)
-        v = rng.uniform(0, 1, 11)
-        assert per_class_stddev(v) == pytest.approx(float(np.std(v)), abs=1e-15)

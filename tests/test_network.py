@@ -97,23 +97,14 @@ class TestBackward:
         yb = rng.integers(0, 3, 4)
 
         def batch_loss(m):
-            cache = forward(m, xb)
-            return np.mean(
-                [softmax_loss(m.classifier, cache.feature[i], int(yb[i])).value for i in range(4)]
-            )
+            return softmax_loss(m.classifier, forward(m, xb).feature, yb).value
 
         x0 = flatten_params(model)
         numeric = central_difference(lambda x: batch_loss(unflatten_params(model, x)), x0)
 
         cache = forward(model, xb)
-        n = xb.shape[0]
-        grad_feat = np.zeros_like(cache.feature)
-        grad_cls = np.zeros_like(model.classifier.weights)
-        for i in range(n):
-            res = softmax_loss(model.classifier, cache.feature[i], int(yb[i]))
-            grad_feat[i] = res.grad_feature / n
-            grad_cls += res.grad_weights / n
-        grads = backward(model, cache, grad_feat, grad_cls)
+        res = softmax_loss(model.classifier, cache.feature, yb)
+        grads = backward(model, cache, res.grad_feature, res.grad_weights)
         analytic = np.concatenate(
             [g.ravel() for g in grads.hidden_weights]
             + [g.ravel() for g in grads.hidden_biases]
@@ -242,8 +233,8 @@ class TestTrain:
             if np.linalg.norm(f) < 1e-10:
                 continue
             y = int(rng.integers(0, 3))
-            lm = large_margin_softmax_loss(model.classifier, f, y, 1)
-            sm = softmax_loss(model.classifier, f, y)
+            lm = large_margin_softmax_loss(model.classifier, f[None], [y], 1)
+            sm = softmax_loss(model.classifier, f[None], [y])
             assert lm.value == pytest.approx(sm.value, abs=1e-12)
 
     def test_empty_dataset_rejected(self):

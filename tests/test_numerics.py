@@ -6,15 +6,8 @@ import numpy as np
 import pytest
 
 from ummlearn.errors import DimensionError, DomainError, ParameterError
-from ummlearn.numerics import (
-    M_MAX,
-    chebyshev_t,
-    cos_m_theta,
-    dot,
-    erf,
-    log_sum_exp_rows,
-    stable_log_sum_exp,
-)
+from ummlearn.numerics import M_MAX, chebyshev, cos_m_theta, log_sum_exp_rows
+from ummlearn.uncertainty import misclassification_ccdf
 
 
 def erf_maclaurin(x: float, terms: int = 60) -> float:
@@ -29,47 +22,33 @@ def erf_maclaurin(x: float, terms: int = 60) -> float:
     return 2.0 / math.sqrt(math.pi) * total
 
 
-class TestDot:
-    def test_orthogonal(self):
-        assert dot([1.0, 0.0], [0.0, 1.0]) == 0.0
-
-    def test_hand_sum(self):
-        assert dot([1.0, 2.0], [3.0, 4.0]) == 11.0
-
-    def test_self_dot_is_squared_norm(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            v = rng.standard_normal(rng.integers(1, 30))
-            sq = sum(float(x) * float(x) for x in v)  # separate accumulation
-            assert dot(v, v) == pytest.approx(sq, rel=1e-12)
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            dot([1.0, 2.0], [1.0])
-
-
 class TestErf:
+    """The erf inside misclassification_ccdf: at variance 1/2 it is 0.5 (1 + erf(mu))."""
+
     def test_zero(self):
-        assert erf(0.0) == 0.0
+        assert misclassification_ccdf(0.0, 0.5) == 0.5
 
     def test_saturation(self):
-        assert erf(10.0) == pytest.approx(1.0, abs=1e-12)
+        assert misclassification_ccdf(10.0, 0.5) == pytest.approx(1.0, abs=1e-12)
 
     def test_value_at_one_frozen(self):
         # computed from the Maclaurin oracle before implementation
-        assert erf(1.0) == pytest.approx(0.8427007929497149, abs=1e-12)
+        expected = 0.5 * (1.0 + 0.8427007929497149)
+        assert misclassification_ccdf(1.0, 0.5) == pytest.approx(expected, abs=1e-12)
 
     def test_matches_maclaurin_series(self):
-        for x in np.linspace(-3.0, 3.0, 61):
-            assert erf(float(x)) == pytest.approx(erf_maclaurin(float(x)), abs=1e-12)
+        xs = np.linspace(-3.0, 3.0, 61)
+        vals = misclassification_ccdf(xs, np.full(xs.shape, 0.5))
+        for x, v in zip(xs, vals):
+            assert v == pytest.approx(0.5 * (1.0 + erf_maclaurin(float(x))), abs=1e-12)
 
     def test_odd_symmetry_and_monotone(self):
         xs = np.linspace(-5.0, 5.0, 201)
-        vals = [erf(float(x)) for x in xs]
+        vals = misclassification_ccdf(xs, 0.5)
         for x, v in zip(xs, vals):
-            assert erf(float(-x)) == pytest.approx(-v, abs=1e-15)
-            assert abs(v) < 1.0 or abs(x) > 5  # |erf| < 1 on finite reals
-        assert all(b > a for a, b in zip(vals, vals[1:]))
+            assert misclassification_ccdf(float(-x), 0.5) == pytest.approx(1.0 - v, abs=1e-15)
+            assert 0.0 < v < 1.0 or abs(x) > 5  # |erf| < 1 on finite reals
+        assert np.all(np.diff(vals) > 0)
 
 
 class TestCosMTheta:
@@ -88,18 +67,17 @@ class TestCosMTheta:
     def test_chebyshev_equals_trig(self):
         rng = np.random.default_rng(3)
         alphas = rng.uniform(0.0, math.pi, 1000)
-        worst = 0.0
-        for m in range(1, M_MAX + 1):
-            for a in alphas:
-                diff = abs(cos_m_theta(math.cos(a), m) - math.cos(m * a))
-                worst = max(worst, diff)
+        worst = max(
+            np.max(np.abs(cos_m_theta(np.cos(alphas), m) - np.cos(m * alphas)))
+            for m in range(1, M_MAX + 1)
+        )
         assert worst < 1e-9
 
     def test_derivative_matches_finite_difference(self):
         h = 1e-6
         for m in range(1, M_MAX + 1):
             for x in np.linspace(-0.95, 0.95, 21):
-                _, der = chebyshev_t(float(x), m)
+                _, der = chebyshev(float(x), m)
                 num = (cos_m_theta(float(x) + h, m) - cos_m_theta(float(x) - h, m)) / (2 * h)
                 assert der == pytest.approx(num, abs=1e-5)
 
@@ -116,10 +94,10 @@ class TestCosMTheta:
 
 class TestStableLogSumExp:
     def test_two_zeros(self):
-        assert stable_log_sum_exp([0.0, 0.0]) == pytest.approx(math.log(2.0), abs=1e-15)
+        assert log_sum_exp_rows(np.zeros((1, 2)))[0] == pytest.approx(math.log(2.0), abs=1e-15)
 
     def test_no_overflow(self):
-        assert stable_log_sum_exp([1000.0, 1000.0]) == pytest.approx(
+        assert log_sum_exp_rows(np.array([[1000.0, 1000.0]]))[0] == pytest.approx(
             1000.0 + math.log(2.0), abs=1e-12
         )
 
@@ -128,22 +106,23 @@ class TestStableLogSumExp:
         for _ in range(50):
             v = rng.uniform(-3, 3, rng.integers(1, 12))
             naive = math.log(sum(math.exp(float(x)) for x in v))
-            assert stable_log_sum_exp(v) == pytest.approx(naive, abs=1e-12)
+            assert log_sum_exp_rows(v[None, :])[0] == pytest.approx(naive, abs=1e-12)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(6)
-        v = rng.standard_normal(8)
-        base = stable_log_sum_exp(v)
+        v = rng.standard_normal((1, 8))
+        base = log_sum_exp_rows(v)[0]
         for c in (-100.0, -1.0, 0.5, 250.0):
-            assert stable_log_sum_exp(v + c) == pytest.approx(base + c, abs=1e-12)
+            assert log_sum_exp_rows(v + c)[0] == pytest.approx(base + c, abs=1e-12)
 
     def test_empty_input(self):
         with pytest.raises(DimensionError):
-            stable_log_sum_exp([])
+            log_sum_exp_rows(np.empty((1, 0)))
 
     def test_rowwise_matches_scalar(self):
         rng = np.random.default_rng(7)
         mat = rng.standard_normal((6, 5)) * 10
         rows = log_sum_exp_rows(mat)
         for i in range(6):
-            assert rows[i] == pytest.approx(stable_log_sum_exp(mat[i]), abs=1e-12)
+            naive = math.log(sum(math.exp(float(x)) for x in mat[i]))
+            assert rows[i] == pytest.approx(naive, abs=1e-12)

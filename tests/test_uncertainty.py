@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from helpers import normal_cdf_simpson
-from ummlearn.errors import ConfigurationError, DimensionError, ParameterError
+from ummlearn.errors import ConfigurationError, ParameterError
 from ummlearn.margin_loss import ClassifierState
 from ummlearn.uncertainty import (
     EnsembleConfig,
     class_uncertainty,
     error_moments,
-    mc_mean,
     mc_uncertainty,
     misclassification_ccdf,
     rival_class,
@@ -60,25 +59,6 @@ class TestSampleDropoutMasks:
     def test_bad_widths(self):
         with pytest.raises(ParameterError):
             sample_dropout_masks(EnsembleConfig(), [0], rng_seed=0)
-
-
-class TestMcMean:
-    def test_identical_vectors(self):
-        stack = np.tile([1.0, 2.0, 3.0], (5, 1))
-        np.testing.assert_array_equal(mc_mean(stack), [1.0, 2.0, 3.0])
-
-    def test_hand_average(self):
-        np.testing.assert_allclose(mc_mean([[0.0, 2.0], [2.0, 0.0]]), [1.0, 1.0])
-
-    def test_matches_naive(self):
-        rng = np.random.default_rng(2)
-        stack = rng.standard_normal((7, 4))
-        naive = np.array([sum(stack[:, j]) / 7 for j in range(4)])
-        np.testing.assert_allclose(mc_mean(stack), naive, atol=1e-12)
-
-    def test_empty(self):
-        with pytest.raises(DimensionError):
-            mc_mean(np.empty((0, 3)))
 
 
 class TestMcUncertainty:
@@ -252,6 +232,31 @@ class TestRivalClass:
     def test_tie_lowest_index(self):
         state = ClassifierState(np.array([[1.0, 0.0], [0.5, 0.5], [0.5, 0.5]]))
         assert rival_class(state, np.array([1.0, 1.0]), 0) == 1
+
+
+class TestBatchAxis:
+    def test_batch_matches_single_samples(self):
+        # a leading batch axis gives exactly the per-sample results, including
+        # the zero-variance step of a sample whose passes all agree
+        rng = np.random.default_rng(29)
+        state = ClassifierState(rng.standard_normal((5, 4)))
+        stacks = rng.standard_normal((6, 10, 4))
+        stacks[5] = [0.5, -0.25, 1.0, 0.75]  # dyadic, so the variance is exactly 0
+        labels = rng.integers(0, 5, 6)
+        mu, sigma = sample_feature_moments(stacks)
+        rivals = rival_class(state, mu, labels)
+        mu_e, var_e = error_moments(state.weights[rivals], state.weights[labels], mu, sigma)
+        ccdf = misclassification_ccdf(mu_e, var_e)
+        assert var_e[5] == 0.0 and ccdf[5] in (0.0, 0.5, 1.0)
+        for i in range(6):
+            mu_i, sigma_i = sample_feature_moments(stacks[i])
+            np.testing.assert_array_equal(mu[i], mu_i)
+            np.testing.assert_array_equal(sigma[i], sigma_i)
+            j = rival_class(state, mu_i, int(labels[i]))
+            assert rivals[i] == j
+            m_i, v_i = error_moments(state.weights[j], state.weights[labels[i]], mu_i, sigma_i)
+            assert (mu_e[i], var_e[i]) == (m_i, v_i)
+            assert ccdf[i] == misclassification_ccdf(m_i, v_i)
 
 
 class TestNoDropoutLimit:
