@@ -52,7 +52,7 @@ from .metrics import (
 from .network import (
     EpochRecord,
     MlpModel,
-    TrainConfig,
+    RunConfig,
     backward,
     ensemble_class_uncertainty,
     evaluate,

@@ -14,7 +14,7 @@ import os
 import sys
 import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,10 +37,9 @@ from .margin_loss import (
 )
 from .margin_loss import ClassifierState
 from .network import (
-    LOSS_CHOICES,
     EpochRecord,
     MlpModel,
-    TrainConfig,
+    RunConfig,
     ensemble_class_uncertainty,
     evaluate,
     forward,
@@ -49,47 +48,17 @@ from .network import (
     train,
 )
 from .seeding import stream_rng, stream_seed
-from .uncertainty import EnsembleConfig
 
-SWEEP_LOSS_TOKENS = ("softmax", "umm", "umm-sum", "hybrid", "large-margin", "angular-i", "angular-ii")
-
-
-@dataclass
-class RunConfig:
-    """Flat experiment configuration; every key has a documented default."""
-
-    data_kind: str = "binary"  # binary | longtail | csv
-    data_dim: int = 2
-    data_std: float = 1.0
-    data_classes: int = 10
-    data_base_count: int = 1000
-    data_decay: float = 0.5
-    data_radius: float = 5.0
-    data_majority: int = 500
-    data_minority: int = 50
-    data_separation: float = 3.0
-    data_test_count: int = 200
-    data_path: str = ""
-    model_hidden: tuple = (32, 32)
-    train_loss: str = "softmax"
-    train_epochs_softmax: int = 20
-    train_epochs_umm: int = 15
-    train_epochs_sum: int = 10
-    train_lr: float = 0.05
-    train_weight_decay: float = 1e-4
-    train_batch_size: int = 32
-    train_margin: int = 3
-    train_uncertainty_scale: float = 1.0
-    train_margin_blend: float = 0.15
-    ensemble_passes: int = 10
-    ensemble_dropout: float = 0.5
-    ensemble_tau: float = 100.0
-    cluster_lambda: float = 10.0
-    cluster_s: float = 4.0
-    cluster_alpha: float = 0.5
-    cluster_weight: float = 0.1
-    cluster_random_init: bool = False
-    seed: int = 0
+# Each sweep token names a training variant: its overrides of the run config.
+SWEEP_VARIANTS = {
+    "softmax": {"train_loss": "softmax"},
+    "umm": {"train_loss": "uncertainty-weighted", "train_epochs_sum": 0},
+    "umm-sum": {"train_loss": "uncertainty-weighted"},
+    "hybrid": {"train_loss": "hybrid-cluster"},
+    "large-margin": {"train_loss": "large-margin"},
+    "angular-i": {"train_loss": "angular-i"},
+    "angular-ii": {"train_loss": "angular-ii"},
+}
 
 
 # Flat config keys: the first underscore of a field name becomes the section
@@ -116,8 +85,11 @@ def _parse_value(field_name: str, raw: str):
 
 
 def parse_config(path) -> RunConfig:
-    """Parse a key=value file; unknown keys are rejected by name."""
-    cfg = RunConfig()
+    """Parse a key=value file; unknown keys are rejected by name.
+
+    Keys left out keep their defaults; ``RunConfig`` checks every value.
+    """
+    values = {}
     text = Path(path).read_text(encoding="utf-8")
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -131,20 +103,10 @@ def parse_config(path) -> RunConfig:
             raise ConfigurationError(f"unknown config key {key!r}")
         field_name = _KEY_TO_FIELD[key]
         try:
-            setattr(cfg, field_name, _parse_value(field_name, raw))
+            values[field_name] = _parse_value(field_name, raw)
         except ValueError as exc:
             raise ConfigurationError(f"bad value for {key!r}: {exc}") from exc
-    _validate_config(cfg)
-    return cfg
-
-
-def _validate_config(cfg: RunConfig) -> None:
-    if cfg.data_kind not in ("binary", "longtail", "csv"):
-        raise ConfigurationError(f"unknown data.kind {cfg.data_kind!r}")
-    if cfg.train_loss not in LOSS_CHOICES:
-        raise ConfigurationError(f"unknown train.loss {cfg.train_loss!r}")
-    if cfg.data_kind == "csv" and not cfg.data_path:
-        raise ConfigurationError("data.kind=csv requires data.path")
+    return RunConfig(**values)
 
 
 def config_lines(cfg: RunConfig) -> list[str]:
@@ -241,32 +203,6 @@ def build_datasets(cfg: RunConfig) -> tuple[data_mod.Dataset, data_mod.Dataset |
     return train_ds, test_ds
 
 
-def make_train_config(cfg: RunConfig, loss: str | None = None, epochs_sum: int | None = None) -> TrainConfig:
-    return TrainConfig(
-        loss=loss if loss is not None else cfg.train_loss,
-        epochs_softmax=cfg.train_epochs_softmax,
-        epochs_margin=cfg.train_epochs_umm,
-        epochs_sample=cfg.train_epochs_sum if epochs_sum is None else epochs_sum,
-        learning_rate=cfg.train_lr,
-        weight_decay=cfg.train_weight_decay,
-        batch_size=cfg.train_batch_size,
-        margin=cfg.train_margin,
-        uncertainty_scale=cfg.train_uncertainty_scale,
-        margin_blend=cfg.train_margin_blend,
-        ensemble=EnsembleConfig(
-            n_passes=cfg.ensemble_passes,
-            dropout_rate=cfg.ensemble_dropout,
-            precision=cfg.ensemble_tau,
-        ),
-        cluster_lambda=cfg.cluster_lambda,
-        cluster_s=cfg.cluster_s,
-        cluster_alpha=cfg.cluster_alpha,
-        cluster_weight=cfg.cluster_weight,
-        cluster_random_init=cfg.cluster_random_init,
-        seed=cfg.seed,
-    )
-
-
 def metrics_csv_text(records: list[EpochRecord], n_classes: int) -> str:
     header = ["epoch", "phase", "loss", "accuracy", "bca", "g_mean"] + [
         f"recall_{k}" for k in range(n_classes)
@@ -279,14 +215,13 @@ def metrics_csv_text(records: list[EpochRecord], n_classes: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_training(cfg: RunConfig, loss: str | None = None, epochs_sum: int | None = None):
+def run_training(cfg: RunConfig):
     """Build data + model from the config, train, and return all artifacts."""
     train_ds, test_ds = build_datasets(cfg)
     model = MlpModel.init(
         train_ds.dim, cfg.model_hidden, train_ds.n_classes, stream_rng(cfg.seed, "init")
     )
-    tcfg = make_train_config(cfg, loss=loss, epochs_sum=epochs_sum)
-    model, records = train(model, train_ds, tcfg, eval_dataset=test_ds)
+    model, records = train(model, train_ds, cfg, eval_dataset=test_ds)
     return model, records, train_ds, test_ds
 
 
@@ -353,10 +288,8 @@ def cmd_eval(args) -> int:
 def cmd_uncertainty(args) -> int:
     model, ds = _load_model_and_data(args)
     cfg = _load_config(args)
-    ens = EnsembleConfig(
-        n_passes=cfg.ensemble_passes, dropout_rate=cfg.ensemble_dropout, precision=cfg.ensemble_tau
-    )
-    u = ensemble_class_uncertainty(model, ds, ens, stream_seed(cfg.seed, "uncertainty-report"))
+    seed = stream_seed(cfg.seed, "uncertainty-report")
+    u = ensemble_class_uncertainty(model, ds, cfg.ensemble, seed)
     lines = ["class,count,frequency,mean_uncertainty"]
     for k in range(ds.n_classes):
         lines.append(
@@ -467,61 +400,44 @@ def cmd_bias_demo(args) -> int:
     return _report("\n".join(lines) + "\n", args.out, "bias_demo.txt")
 
 
-def _sweep_variant(token: str) -> tuple[str, int | None]:
-    """Map a sweep loss token to (selector, epochs_sum override)."""
-    if token == "umm":
-        return "uncertainty-weighted", 0
-    if token == "umm-sum":
-        return "uncertainty-weighted", None
-    if token == "hybrid":
-        return "hybrid-cluster", None
-    return token, None
-
-
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
     losses = [t.strip() for t in args.losses.split(",") if t.strip()]
     for t in losses:
-        if t not in SWEEP_LOSS_TOKENS:
+        if t not in SWEEP_VARIANTS:
             raise ConfigurationError(f"unknown sweep loss token {t!r}")
     dropouts = (
         [float(v) for v in args.dropouts.split(",") if v.strip()]
         if args.dropouts
         else [cfg.ensemble_dropout]
     )
-    seeds = [cfg.seed + i for i in range(args.seeds)]
+    # every run's config is built, and so checked, before the first one trains
+    runs = [
+        (token, p, seed, replace(cfg, seed=seed, ensemble_dropout=p, **SWEEP_VARIANTS[token]))
+        for token in losses
+        for p in dropouts
+        for seed in range(cfg.seed, cfg.seed + args.seeds)
+    ]
 
     rows = []  # (loss, dropout, seed, metric, value)
-    for token in losses:
-        selector, epochs_sum = _sweep_variant(token)
-        for p in dropouts:
-            for seed in seeds:
-                run_cfg = replace(cfg, seed=seed, ensemble_dropout=p)
-                model, records, train_ds, test_ds = run_training(
-                    run_cfg, loss=selector, epochs_sum=epochs_sum
-                )
-                final = records[-1]
-                rows.append((token, p, seed, "accuracy", final.accuracy))
-                rows.append((token, p, seed, "bca", final.bca))
-                rows.append((token, p, seed, "g_mean", final.g_mean))
-                for k, r in enumerate(final.recalls):
-                    rows.append((token, p, seed, f"recall_{k}", float(r)))
+    for token, p, seed, run_cfg in runs:
+        model, records, train_ds, test_ds = run_training(run_cfg)
+        final = records[-1]
+        rows.append((token, p, seed, "accuracy", final.accuracy))
+        rows.append((token, p, seed, "bca", final.bca))
+        rows.append((token, p, seed, "g_mean", final.g_mean))
+        for k, r in enumerate(final.recalls):
+            rows.append((token, p, seed, f"recall_{k}", float(r)))
 
     lines = ["loss,dropout,seed,metric,value"]
     for token, p, seed, metric, value in rows:
         lines.append(f"{token},{_fmt(p)},{seed},{metric},{_fmt(value)}")
-    # mean/std summary rows per (loss, dropout, metric)
+    # mean/std summary rows per (loss, dropout, metric), in first-seen order
     groups: dict[tuple, list[float]] = {}
-    order: list[tuple] = []
     for token, p, seed, metric, value in rows:
-        key = (token, p, metric)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(value)
-    for key in order:
-        token, p, metric = key
-        vals = np.asarray(groups[key])
+        groups.setdefault((token, p, metric), []).append(value)
+    for (token, p, metric), values in groups.items():
+        vals = np.asarray(values)
         lines.append(f"{token},{_fmt(p)},mean,{metric},{_fmt(float(vals.mean()))}")
         lines.append(f"{token},{_fmt(p)},std,{metric},{_fmt(float(vals.std()))}")
     out = Path(args.out)
@@ -536,10 +452,8 @@ def cmd_sweep(args) -> int:
 
 
 def _load_config(args) -> RunConfig:
-    cfg = parse_config(args.config) if getattr(args, "config", None) else RunConfig()
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, seed=args.seed)
-    return cfg
+    cfg = parse_config(args.config) if args.config else RunConfig()
+    return cfg if args.seed is None else replace(cfg, seed=args.seed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -549,9 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config=True, out_required=False):
-        if config:
-            p.add_argument("--config", help="key=value config file")
+    def add_common(p, out_required=False):
+        p.add_argument("--config", help="key=value config file")
         p.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
         p.add_argument("--out", required=out_required, help="output directory")
 

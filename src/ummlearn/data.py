@@ -210,9 +210,9 @@ def load_csv(path) -> Dataset:
             try:
                 lab = int(row[-1])
             except ValueError:
-                raise LabelError(f"line {lineno}: malformed label {row[-1]!r}") from None
+                raise CsvFormatError(f"malformed label {row[-1]!r}", line=lineno) from None
             if lab < 0:
-                raise LabelError(f"line {lineno}: label {lab} out of range")
+                raise CsvFormatError(f"label {lab} out of range", line=lineno)
             labels.append(lab)
     if not rows:
         raise CsvFormatError("dataset file has no data rows")

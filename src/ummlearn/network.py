@@ -19,7 +19,8 @@ initializes centers from per-class feature means at the phase boundary).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import zipfile
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,6 +62,9 @@ LOSS_CHOICES = (
     "angular-i",
     "angular-ii",
 )
+
+# A batch loss above this counts as divergence.
+MAX_LOSS = 1e6
 
 PHASE_SOFTMAX = 1
 PHASE_CLASS_MARGIN = 2
@@ -217,48 +221,94 @@ def evaluate(model: MlpModel, dataset: Dataset) -> np.ndarray:
     return np.argmax(cache.logits, axis=1).astype(np.int64)
 
 
-@dataclass
-class TrainConfig:
-    """Hyperparameters for the progressive trainer."""
+@dataclass(frozen=True)
+class RunConfig:
+    """One run's configuration: data, model, trainer, ensemble, clusters, seed.
 
-    loss: str = "softmax"
-    epochs_softmax: int = 20
-    epochs_margin: int = 20
-    epochs_sample: int = 10
-    learning_rate: float = 0.1
-    weight_decay: float = 1e-4
-    batch_size: int = 32
-    margin: int = 3
-    angular_a: float | None = None
-    ensemble: EnsembleConfig = field(default_factory=EnsembleConfig)
+    Every field is one flat config key: the first underscore becomes the
+    section dot (``train_lr`` is ``train.lr``). ``train`` reads the ``train``,
+    ``ensemble`` and ``cluster`` sections and the seed. Every value is
+    checked here, so a bad one fails before anything runs or is written.
+    """
+
+    data_kind: str = "binary"  # binary | longtail | csv
+    data_dim: int = 2
+    data_std: float = 1.0
+    data_classes: int = 10
+    data_base_count: int = 1000
+    data_decay: float = 0.5
+    data_radius: float = 5.0
+    data_majority: int = 500
+    data_minority: int = 50
+    data_separation: float = 3.0
+    data_test_count: int = 200
+    data_path: str = ""
+    model_hidden: tuple = (32, 32)
+    train_loss: str = "softmax"
+    train_epochs_softmax: int = 20
+    train_epochs_umm: int = 15
+    train_epochs_sum: int = 10
+    train_lr: float = 0.05
+    train_weight_decay: float = 1e-4
+    train_batch_size: int = 32
+    train_margin: int = 3
+    train_uncertainty_scale: float = 1.0
+    train_margin_blend: float = 0.15
+    ensemble_passes: int = 10
+    ensemble_dropout: float = 0.5
+    ensemble_tau: float = 100.0
     cluster_lambda: float = 10.0
     cluster_s: float = 4.0
     cluster_alpha: float = 0.5
     cluster_weight: float = 0.1
     cluster_random_init: bool = False
-    uncertainty_scale: float = 1.0
-    margin_blend: float = 0.15
     seed: int = 0
-    max_loss: float = 1e6
 
     def __post_init__(self):
-        if self.loss not in LOSS_CHOICES:
-            raise ConfigurationError(f"unknown loss selector {self.loss!r}")
-        for name in ("epochs_softmax", "epochs_margin", "epochs_sample"):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"{name} must be nonnegative")
-        if self.learning_rate <= 0:
-            raise ConfigurationError("learning_rate must be positive")
-        if self.weight_decay < 0:
-            raise ConfigurationError("weight_decay must be nonnegative")
-        if self.batch_size < 1:
-            raise ConfigurationError("batch_size must be positive")
-        if not 1 <= self.margin <= M_MAX:
-            raise ConfigurationError(f"margin must lie in [1, {M_MAX}]")
-        if self.uncertainty_scale <= 0:
-            raise ConfigurationError("uncertainty_scale must be positive")
-        if not 0 < self.margin_blend <= 1:
-            raise ConfigurationError("margin_blend must lie in (0, 1]")
+        if self.data_kind not in ("binary", "longtail", "csv"):
+            raise ConfigurationError(f"unknown data.kind {self.data_kind!r}")
+        if self.data_kind == "csv" and not self.data_path:
+            raise ConfigurationError("data.kind=csv requires data.path")
+        if self.train_loss not in LOSS_CHOICES:
+            raise ConfigurationError(f"unknown train.loss {self.train_loss!r}")
+        for name, ok, rule in (
+            ("data_dim", self.data_dim >= 1, "be positive"),
+            ("data_std", self.data_std > 0, "be positive"),
+            ("data_classes", self.data_classes >= 2, "be at least 2"),
+            ("data_majority", self.data_majority >= 1, "be positive"),
+            ("data_minority", self.data_minority >= 1, "be positive"),
+            ("data_test_count", self.data_test_count >= 1, "be positive"),
+            ("model_hidden", all(w >= 1 for w in self.model_hidden), "list positive widths"),
+            (
+                "model_hidden",
+                bool(self.model_hidden) or self.train_loss != "uncertainty-weighted",
+                "name a layer for the dropout ensemble of train.loss=uncertainty-weighted",
+            ),
+            ("train_epochs_softmax", self.train_epochs_softmax >= 0, "be nonnegative"),
+            ("train_epochs_umm", self.train_epochs_umm >= 0, "be nonnegative"),
+            ("train_epochs_sum", self.train_epochs_sum >= 0, "be nonnegative"),
+            ("train_lr", self.train_lr > 0, "be positive"),
+            ("train_weight_decay", self.train_weight_decay >= 0, "be nonnegative"),
+            ("train_batch_size", self.train_batch_size >= 1, "be positive"),
+            ("train_margin", 1 <= self.train_margin <= M_MAX, f"lie in [1, {M_MAX}]"),
+            ("train_uncertainty_scale", self.train_uncertainty_scale > 0, "be positive"),
+            ("train_margin_blend", 0 < self.train_margin_blend <= 1, "lie in (0, 1]"),
+            ("ensemble_passes", self.ensemble_passes >= 1, "be positive"),
+            ("ensemble_dropout", 0 < self.ensemble_dropout < 1, "lie in (0, 1)"),
+            ("ensemble_tau", self.ensemble_tau > 0, "be positive"),
+            ("cluster_lambda", self.cluster_lambda > 0, "be positive"),
+            ("cluster_s", self.cluster_s > 2, "exceed 2"),
+            ("cluster_alpha", 0 < self.cluster_alpha <= 1, "lie in (0, 1]"),
+            ("cluster_weight", self.cluster_weight >= 0, "be nonnegative"),
+        ):
+            if not ok:
+                key = name.replace("_", ".", 1)
+                raise ConfigurationError(f"{key} must {rule}, got {getattr(self, name)!r}")
+
+    @property
+    def ensemble(self) -> EnsembleConfig:
+        """The dropout ensemble that the ``ensemble`` keys describe."""
+        return EnsembleConfig(self.ensemble_passes, self.ensemble_dropout, self.ensemble_tau)
 
 
 @dataclass
@@ -312,7 +362,7 @@ def _mask_widths(model: MlpModel) -> list[int]:
     return widths
 
 
-def _refresh_margins(model: MlpModel, dataset: Dataset, cfg: TrainConfig, rng: np.random.Generator) -> None:
+def _refresh_margins(model: MlpModel, dataset: Dataset, cfg: RunConfig, rng: np.random.Generator) -> None:
     # Probability-space variances sit two orders of magnitude below the scale
     # the floor-based margin map expects, so a configurable gain is applied
     # before the map; zero uncertainty still yields margin 1.
@@ -320,13 +370,13 @@ def _refresh_margins(model: MlpModel, dataset: Dataset, cfg: TrainConfig, rng: n
     u = ensemble_class_uncertainty(model, dataset, cfg.ensemble, seed)
     model.classifier.class_uncertainty = u
     model.classifier.margins = np.array(
-        [class_margin_from_uncertainty(cfg.uncertainty_scale * float(v)) for v in u],
+        [class_margin_from_uncertainty(cfg.train_uncertainty_scale * float(v)) for v in u],
         dtype=np.int64,
     )
 
 
 def _init_cluster_state(
-    model: MlpModel, dataset: Dataset, cfg: TrainConfig, rng: np.random.Generator
+    model: MlpModel, dataset: Dataset, cfg: RunConfig, rng: np.random.Generator
 ) -> ClusterState:
     c = dataset.n_classes
     d = model.feature_dim
@@ -345,13 +395,12 @@ def _init_cluster_state(
 
 
 def _batch_ccdfs(
-    model: MlpModel, xb: np.ndarray, yb: np.ndarray, cfg: TrainConfig, rng: np.random.Generator
+    model: MlpModel, xb: np.ndarray, yb: np.ndarray, cfg: RunConfig, rng: np.random.Generator
 ) -> np.ndarray:
     """Per-sample misclassification probabilities from ensemble feature moments."""
-    masks = sample_dropout_masks(cfg.ensemble, _mask_widths(model), int(rng.integers(0, 2**63)))
-    feats = np.stack(
-        [forward(model, xb, m, cfg.ensemble.dropout_rate).feature for m in masks], axis=1
-    )
+    ens = cfg.ensemble
+    masks = sample_dropout_masks(ens, _mask_widths(model), int(rng.integers(0, 2**63)))
+    feats = np.stack([forward(model, xb, m, ens.dropout_rate).feature for m in masks], axis=1)
     state = model.classifier
     mu_f, sigma_f = sample_feature_moments(feats)
     rivals = rival_class(state, mu_f, yb)
@@ -393,13 +442,13 @@ def _epoch_record(
 
 
 def train(
-    model: MlpModel, dataset: Dataset, cfg: TrainConfig, eval_dataset: Dataset | None = None
+    model: MlpModel, dataset: Dataset, cfg: RunConfig, eval_dataset: Dataset | None = None
 ) -> tuple[MlpModel, list[EpochRecord]]:
     """Train in place through the three-phase curriculum; returns (model, log).
 
     Fully deterministic per (seed, config, dataset): every random draw comes
     from a named stream under cfg.seed. Raises TrainingDivergenceError when
-    a batch loss is non-finite or exceeds cfg.max_loss.
+    a batch loss is non-finite or exceeds ``MAX_LOSS``.
     """
     if dataset.n_samples == 0:
         raise DimensionError("training dataset is empty")
@@ -411,30 +460,30 @@ def train(
     rng_cluster = stream_rng(cfg.seed, "centers")
     eval_ds = eval_dataset if eval_dataset is not None else dataset
 
-    keep = cfg.ensemble.dropout_rate
+    keep = cfg.ensemble_dropout
     cluster_state: ClusterState | None = None
     records: list[EpochRecord] = []
     epoch = 0
     n = dataset.n_samples
 
     for phase, n_epochs in (
-        (PHASE_SOFTMAX, cfg.epochs_softmax),
-        (PHASE_CLASS_MARGIN, cfg.epochs_margin),
-        (PHASE_SAMPLE_WEIGHT, cfg.epochs_sample),
+        (PHASE_SOFTMAX, cfg.train_epochs_softmax),
+        (PHASE_CLASS_MARGIN, cfg.train_epochs_umm),
+        (PHASE_SAMPLE_WEIGHT, cfg.train_epochs_sum),
     ):
         for epoch_in_phase in range(n_epochs):
             if phase >= PHASE_CLASS_MARGIN and epoch_in_phase == 0:
                 # refresh at the phase boundary only: re-measuring while the
                 # margins are already active feeds the flicker they cause
                 # back into ever-larger margins
-                if cfg.loss == "uncertainty-weighted":
+                if cfg.train_loss == "uncertainty-weighted":
                     _refresh_margins(model, dataset, cfg, rng_ensemble)
-                if cfg.loss == "hybrid-cluster" and cluster_state is None:
+                if cfg.train_loss == "hybrid-cluster" and cluster_state is None:
                     cluster_state = _init_cluster_state(model, dataset, cfg, rng_cluster)
             order = rng_shuffle.permutation(n)
             loss_sum = 0.0
-            for start in range(0, n, cfg.batch_size):
-                idx = order[start : start + cfg.batch_size]
+            for start in range(0, n, cfg.train_batch_size):
+                idx = order[start : start + cfg.train_batch_size]
                 xb = dataset.features[idx]
                 yb = dataset.labels[idx]
                 if model.hidden_weights:
@@ -449,10 +498,10 @@ def train(
                 value, grad_feature, grad_classifier = _batch_loss(
                     model, cache, yb, cfg, phase, cluster_state, rng_ensemble, xb
                 )
-                if not np.isfinite(value) or value > cfg.max_loss:
+                if not np.isfinite(value) or value > MAX_LOSS:
                     raise TrainingDivergenceError(f"loss {value!r} diverged", epoch)
                 grads = backward(model, cache, grad_feature, grad_classifier)
-                sgd_step(model, grads, cfg.learning_rate, cfg.weight_decay)
+                sgd_step(model, grads, cfg.train_lr, cfg.train_weight_decay)
                 loss_sum += value * idx.size
             records.append(_epoch_record(model, eval_ds, epoch, phase, loss_sum / n))
             epoch += 1
@@ -463,7 +512,7 @@ def _batch_loss(
     model: MlpModel,
     cache: ForwardCache,
     yb: np.ndarray,
-    cfg: TrainConfig,
+    cfg: RunConfig,
     phase: int,
     cluster_state: ClusterState | None,
     rng_ensemble: np.random.Generator,
@@ -476,24 +525,20 @@ def _batch_loss(
     on the center-separation terms.
     """
     state, feats = model.classifier, cache.feature
-    if phase == PHASE_SOFTMAX or cfg.loss in ("softmax", "hybrid-cluster"):
+    loss, blend = cfg.train_loss, cfg.train_margin_blend
+    if phase == PHASE_SOFTMAX or loss in ("softmax", "hybrid-cluster"):
         res = softmax_loss(state, feats, yb)
-    elif cfg.loss == "large-margin":
-        res = large_margin_softmax_loss(state, feats, yb, cfg.margin, blend=cfg.margin_blend)
-    elif cfg.loss == "uncertainty-weighted" and phase == PHASE_CLASS_MARGIN:
-        res = large_margin_softmax_loss(
-            state, feats, yb, state.margins[yb], blend=cfg.margin_blend
-        )
-    elif cfg.loss == "uncertainty-weighted":
+    elif loss == "large-margin":
+        res = large_margin_softmax_loss(state, feats, yb, cfg.train_margin, blend=blend)
+    elif loss == "uncertainty-weighted" and phase == PHASE_CLASS_MARGIN:
+        res = large_margin_softmax_loss(state, feats, yb, state.margins[yb], blend=blend)
+    elif loss == "uncertainty-weighted":
         weights = _sample_weights(_batch_ccdfs(model, xb, yb, cfg, rng_ensemble))
         res = uncertainty_weighted_margin_loss(
-            state, feats, yb, state.margins[yb], weights, blend=cfg.margin_blend
+            state, feats, yb, state.margins[yb], weights, blend=blend
         )
-    elif cfg.loss in ("angular-i", "angular-ii"):
-        variant = "i" if cfg.loss == "angular-i" else "ii"
-        res = angular_margin_loss(state, feats, yb, variant=variant, a=cfg.angular_a)
-    else:
-        raise ConfigurationError(f"unknown loss selector {cfg.loss!r}")
+    else:  # angular-i or angular-ii; RunConfig admits no other selector
+        res = angular_margin_loss(state, feats, yb, variant=loss.removeprefix("angular-"))
     value, grad_feature = res.value, res.grad_feature
 
     if cluster_state is not None:  # hybrid-cluster, from phase 2 on
@@ -502,7 +547,7 @@ def _batch_loss(
         value += scale * cl_value
         grad_feature = grad_feature + scale * cl_grad
         cluster_state.centers = update_centers(cluster_state, feats, yb).centers
-        cluster_state.centers -= cfg.learning_rate * scale * grad_centers
+        cluster_state.centers -= cfg.train_lr * scale * grad_centers
     return value, grad_feature, res.grad_weights
 
 
@@ -521,14 +566,53 @@ def save_model(model: MlpModel, path) -> None:
 
 
 def load_model(path) -> MlpModel:
-    """Inverse of ``save_model``."""
-    with np.load(path) as data:
-        n_hidden = int(data["n_hidden"])
-        weights = [np.array(data[f"hidden_w{i}"]) for i in range(n_hidden)]
-        biases = [np.array(data[f"hidden_b{i}"]) for i in range(n_hidden)]
-        state = ClassifierState(
-            np.array(data["classifier_weights"]),
-            np.array(data["margins"]),
-            np.array(data["class_uncertainty"]),
-        )
+    """Inverse of ``save_model``.
+
+    A file that is not an .npz archive, lacks an array, or stores shapes that
+    do not chain from the input through the hidden layers into the classifier
+    raises ``ConfigurationError`` naming the file and the array.
+    """
+    try:
+        archive = np.load(path)
+    except (ValueError, EOFError, zipfile.BadZipFile):  # not .npy, .npz or a complete zip
+        archive = None
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise ConfigurationError(f"{path} is not an .npz model archive")
+
+    def array(name: str, ndim: int) -> np.ndarray:
+        if name not in archive.files:
+            raise ConfigurationError(f"{path} has no array {name}")
+        arr = np.array(archive[name])
+        if arr.ndim != ndim:
+            raise ConfigurationError(f"{path}: {name} has shape {arr.shape}, expected {ndim}-D")
+        return arr
+
+    with archive:
+        n_hidden = int(array("n_hidden", 0))
+        weights = [array(f"hidden_w{i}", 2) for i in range(n_hidden)]
+        biases = [array(f"hidden_b{i}", 1) for i in range(n_hidden)]
+        head = array("classifier_weights", 2)
+        margins = array("margins", 1)
+        uncertainty = array("class_uncertainty", 1)
+    fan_in = weights[0].shape[1] if weights else head.shape[1]
+    expected = []  # (name, stored shape, shape that chains)
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        expected += [
+            (f"hidden_w{i}", w.shape, (w.shape[0], fan_in)),
+            (f"hidden_b{i}", b.shape, w.shape[:1]),
+        ]
+        fan_in = w.shape[0]
+    c = head.shape[0]
+    expected += [
+        ("classifier_weights", head.shape, (c, fan_in)),
+        ("margins", margins.shape, (c,)),
+        ("class_uncertainty", uncertainty.shape, (c,)),
+    ]
+    for name, shape, want in expected:
+        if shape != want:
+            raise ConfigurationError(f"{path}: {name} has shape {shape}, expected {want}")
+    try:
+        state = ClassifierState(head, margins, uncertainty)
+    except ValueError as exc:  # too few classes, non-finite weights, margins out of range
+        raise ConfigurationError(f"{path}: {exc}") from None
     return MlpModel(weights, biases, state)

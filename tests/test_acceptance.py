@@ -37,7 +37,7 @@ from ummlearn.margin_loss import (
 )
 from ummlearn.network import (
     MlpModel,
-    TrainConfig,
+    RunConfig,
     backward,
     ensemble_class_uncertainty,
     forward,
@@ -104,9 +104,10 @@ def drop90_datasets(seed, per_class=200, test_count=100, radius=5.0, std=1.0):
 
 
 def final_record(loss, seed, train_ds, test_ds, **overrides):
-    model = MlpModel.init(train_ds.dim, overrides.pop("hidden", (96, 96)), train_ds.n_classes,
+    overrides.setdefault("model_hidden", (96, 96))
+    cfg = RunConfig(train_loss=loss, seed=seed, **overrides)
+    model = MlpModel.init(train_ds.dim, cfg.model_hidden, train_ds.n_classes,
                           stream_rng(seed, "init"))
-    cfg = TrainConfig(loss=loss, seed=seed, **overrides)
     model, records = train(model, train_ds, cfg, eval_dataset=test_ds)
     return model, records[-1]
 
@@ -320,14 +321,14 @@ class TestCriterion6UncertaintyRarity:
         for seed in range(5):
             ds = gaussian_blobs(longtail_blob_specs(), seed=stream_seed(seed, "data-train"))
             model = MlpModel.init(2, (96, 96), 10, stream_rng(seed, "init"))
-            cfg = TrainConfig(
-                loss="softmax",
-                epochs_softmax=120,
-                epochs_margin=0,
-                epochs_sample=0,
-                learning_rate=0.1,
-                weight_decay=1e-5,
-                batch_size=16,
+            cfg = RunConfig(
+                train_loss="softmax",
+                train_epochs_softmax=120,
+                train_epochs_umm=0,
+                train_epochs_sum=0,
+                train_lr=0.1,
+                train_weight_decay=1e-5,
+                train_batch_size=16,
                 seed=seed,
             )
             model, _ = train(model, ds, cfg)
@@ -370,12 +371,12 @@ class TestCriterion7ImbalanceBenefit:
                     seed,
                     train_ds,
                     test_ds,
-                    epochs_softmax=80,
-                    epochs_margin=20,
-                    epochs_sample=10,
-                    learning_rate=0.1,
-                    weight_decay=1e-5,
-                    batch_size=16,
+                    train_epochs_softmax=80,
+                    train_epochs_umm=20,
+                    train_epochs_sum=10,
+                    train_lr=0.1,
+                    train_weight_decay=1e-5,
+                    train_batch_size=16,
                 )
                 results[loss] = (float(np.mean(rec.recalls[MINORITY_CLASSES])), rec.bca)
             sm, uw = results["softmax"], results["uncertainty-weighted"]
@@ -468,14 +469,15 @@ class TestCriterion11AblationShape:
                     seed,
                     train_ds,
                     test_ds,
-                    hidden=(48, 48),
-                    epochs_softmax=40,
-                    epochs_margin=10,
-                    epochs_sample=5,
-                    learning_rate=0.1,
-                    weight_decay=1e-4,
-                    batch_size=16,
-                    ensemble=EnsembleConfig(n_passes=10, dropout_rate=keep),
+                    model_hidden=(48, 48),
+                    train_epochs_softmax=40,
+                    train_epochs_umm=10,
+                    train_epochs_sum=5,
+                    train_lr=0.1,
+                    train_weight_decay=1e-4,
+                    train_batch_size=16,
+                    ensemble_passes=10,
+                    ensemble_dropout=keep,
                 )
                 per_seed.append(rec.bca)
             bcas[keep] = per_seed

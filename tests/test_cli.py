@@ -1,5 +1,7 @@
 """End-to-end CLI: config parsing, commands, exit codes, reproducibility."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,16 @@ class TestConfigParsing:
         path.write_text("data.kind=csv\n")
         with pytest.raises(ConfigurationError):
             parse_config(path)
+
+    def test_readme_config_block_lists_every_default(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = next(b for b in readme.split("```")[1::2] if b.lstrip().startswith("data.kind="))
+        lines = [line.split("#", 1)[0].strip() for line in block.splitlines()]
+        path = tmp_path / "readme.cfg"
+        path.write_text("\n".join(lines))
+        assert parse_config(path) == RunConfig()
+        keys = sorted(line.split("=", 1)[0] for line in lines if line)
+        assert keys == [line.split("=", 1)[0] for line in config_lines(RunConfig())]
 
 
 class TestBuildDatasets:
@@ -133,6 +145,25 @@ class TestTrainCommand:
         code = main(["train", "--config", str(path), "--out", str(tmp_path / "x")])
         assert code == 2
         assert "no.such.key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra, key",
+        [
+            ("train.lr=0\n", "train.lr"),
+            ("train.margin=9\n", "train.margin"),
+            ("train.batch_size=0\n", "train.batch_size"),
+            ("model.hidden=0\n", "model.hidden"),
+            ("ensemble.dropout=1.0\n", "ensemble.dropout"),
+            ("model.hidden=\ntrain.loss=uncertainty-weighted\n", "model.hidden"),
+        ],
+    )
+    def test_bad_value_rejected_before_any_output(self, extra, key, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text(SMALL_CONFIG + extra)
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert key in capsys.readouterr().err
 
     def test_divergence_exit_code_1(self, tmp_path):
         path = tmp_path / "diverge.cfg"
@@ -230,6 +261,50 @@ class TestReportingCommands:
         assert self.score(command, run_dir, path) == 2
         assert "label 2, the model has 2 classes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("label", ["-1", "x"])
+    def test_bad_label_exit_code_2(self, label, run_dir, tmp_path, capsys):
+        path = tmp_path / "label.csv"
+        path.write_text(f"f0,f1,label\n0.5,0.5,0\n0.5,-0.5,{label}\n")
+        assert self.score("eval", run_dir, path) == 2
+        err = capsys.readouterr().err
+        assert "line 3" in err and "label" in err
+
+    @staticmethod
+    def write_model(path, run_dir, **changes):
+        """Copy run_dir's model.npz to ``path`` with arrays replaced (None drops one)."""
+        with np.load(run_dir / "model.npz") as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        for name, value in changes.items():
+            if value is None:
+                del arrays[name]
+            else:
+                arrays[name] = value
+        np.savez(path, **arrays)
+
+    def test_model_missing_array_exit_code_2(self, run_dir, tmp_path, capsys):
+        model = tmp_path / "broken.npz"
+        self.write_model(model, run_dir, hidden_b0=None)
+        assert main(["eval", "--model", str(model), "--data", str(run_dir / "test.csv")]) == 2
+        err = capsys.readouterr().err
+        assert str(model) in err and "hidden_b0" in err
+
+    @pytest.mark.parametrize(
+        "name, shape", [("hidden_w1", (8, 5)), ("classifier_weights", (2, 3)), ("margins", (3,))]
+    )
+    def test_model_shapes_must_chain_exit_code_2(self, name, shape, run_dir, tmp_path, capsys):
+        model = tmp_path / "broken.npz"
+        value = np.ones(shape, dtype=np.int64 if name == "margins" else np.float64)
+        self.write_model(model, run_dir, **{name: value})
+        assert main(["eval", "--model", str(model), "--data", str(run_dir / "test.csv")]) == 2
+        err = capsys.readouterr().err
+        assert str(model) in err and name in err
+
+    def test_model_not_an_npz_exit_code_2(self, run_dir, tmp_path, capsys):
+        model = tmp_path / "model.npz"
+        model.write_text("not an archive\n")
+        assert main(["eval", "--model", str(model), "--data", str(run_dir / "test.csv")]) == 2
+        assert str(model) in capsys.readouterr().err
+
     def test_gradcheck_command(self, capsys):
         for loss in ("softmax", "large-margin", "uncertainty-weighted", "angular-i", "angular-ii"):
             code = main(["gradcheck", "--loss", loss, "--seed", "3"])
@@ -269,6 +344,22 @@ class TestSweepCommand:
                   "--losses", "softmax,umm"])
             outs.append((out / "sweep.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_every_run_checked_before_training(self, config_path, tmp_path, capsys, monkeypatch):
+        import ummlearn.cli
+
+        def no_training(cfg):
+            raise AssertionError("a run trained before every run config was checked")
+
+        monkeypatch.setattr(ummlearn.cli, "run_training", no_training)
+        path = tmp_path / "linear.cfg"
+        path.write_text(SMALL_CONFIG + "model.hidden=\n")  # fine for softmax, not for umm
+        out = tmp_path / "x"
+        code = main(["sweep", "--config", str(path), "--out", str(out), "--seeds", "1",
+                     "--losses", "softmax,umm"])
+        assert code == 2
+        assert "model.hidden" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_loss_token(self, config_path, tmp_path, capsys):
         code = main(["sweep", "--config", str(config_path), "--out", str(tmp_path / "x"),

@@ -144,8 +144,17 @@ class TestCsvRoundTrip:
     def test_bad_label(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("f0,label\n1.0,-2\n")
-        with pytest.raises(LabelError):
+        with pytest.raises(CsvFormatError) as info:
             load_csv(path)
+        assert info.value.line == 2
+
+    @pytest.mark.parametrize("label", ["-1", "x", "1.5"])
+    def test_bad_label_reports_line(self, label, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"f0,label\n1.0,0\n2.0,{label}\n")
+        with pytest.raises(CsvFormatError, match="label") as info:
+            load_csv(path)
+        assert info.value.line == 3
 
     def test_wrong_header(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -10,7 +10,7 @@ from ummlearn.margin_loss import softmax_loss
 from ummlearn.network import (
     Gradients,
     MlpModel,
-    TrainConfig,
+    RunConfig,
     backward,
     evaluate,
     forward,
@@ -186,8 +186,8 @@ class TestTrain:
         tr, te = binary_sets(0)
         for loss in ("softmax", "large-margin", "uncertainty-weighted", "hybrid-cluster", "angular-i", "angular-ii"):
             model = MlpModel.init(2, (8, 8), 2, stream_rng(0, "init"))
-            cfg = TrainConfig(
-                loss=loss, epochs_softmax=3, epochs_margin=2, epochs_sample=1, seed=0
+            cfg = RunConfig(
+                train_loss=loss, train_epochs_softmax=3, train_epochs_umm=2, train_epochs_sum=1, seed=0
             )
             model, records = train(model, tr, cfg, eval_dataset=te)
             assert all(np.isfinite(r.loss) for r in records)
@@ -198,8 +198,12 @@ class TestTrain:
         weights = []
         for _ in range(2):
             model = MlpModel.init(2, (8, 8), 2, stream_rng(1, "init"))
-            cfg = TrainConfig(
-                loss="uncertainty-weighted", epochs_softmax=3, epochs_margin=2, epochs_sample=2, seed=1
+            cfg = RunConfig(
+                train_loss="uncertainty-weighted",
+                train_epochs_softmax=3,
+                train_epochs_umm=2,
+                train_epochs_sum=2,
+                seed=1,
             )
             model, _ = train(model, tr, cfg, eval_dataset=te)
             weights.append(np.concatenate([w.ravel() for w in model.hidden_weights]
@@ -212,7 +216,9 @@ class TestTrain:
         finals = {}
         for loss in ("softmax", "uncertainty-weighted"):
             model = MlpModel.init(2, (8, 8), 2, stream_rng(2, "init"))
-            cfg = TrainConfig(loss=loss, epochs_softmax=4, epochs_margin=0, epochs_sample=0, seed=2)
+            cfg = RunConfig(
+                train_loss=loss, train_epochs_softmax=4, train_epochs_umm=0, train_epochs_sum=0, seed=2
+            )
             model, _ = train(model, tr, cfg, eval_dataset=te)
             finals[loss] = np.concatenate(
                 [w.ravel() for w in model.hidden_weights] + [model.classifier.weights.ravel()]
@@ -241,23 +247,23 @@ class TestTrain:
         model = small_model()
         with pytest.raises((DimensionError, ValueError)):
             ds = Dataset.from_arrays(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), 3)
-            train(model, ds, TrainConfig())
+            train(model, ds, RunConfig())
 
     def test_divergence_guard(self):
         tr, _ = binary_sets(3)
         model = MlpModel.init(2, (8, 8), 2, stream_rng(3, "init"))
-        cfg = TrainConfig(loss="softmax", epochs_softmax=30, learning_rate=50.0, seed=3)
+        cfg = RunConfig(train_loss="softmax", train_epochs_softmax=30, train_lr=50.0, seed=3)
         with pytest.raises(TrainingDivergenceError) as info:
             train(model, tr, cfg)
         assert info.value.epoch >= 0
 
     def test_config_validation(self):
-        with pytest.raises(ConfigurationError):
-            TrainConfig(loss="nope")
-        with pytest.raises(ConfigurationError):
-            TrainConfig(learning_rate=0.0)
-        with pytest.raises(ConfigurationError):
-            TrainConfig(margin=9)
+        with pytest.raises(ConfigurationError, match="train.loss"):
+            RunConfig(train_loss="nope")
+        with pytest.raises(ConfigurationError, match="train.lr must be positive"):
+            RunConfig(train_lr=0.0)
+        with pytest.raises(ConfigurationError, match="train.margin"):
+            RunConfig(train_margin=9)
 
 
 class TestDropoutPlumbing:
