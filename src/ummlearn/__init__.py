@@ -71,10 +71,8 @@ from .numerics import (
 from .seeding import stream_rng, stream_seed
 from .uncertainty import (
     EnsembleConfig,
-    UncertaintyEstimate,
     class_uncertainty,
     error_moments,
-    mc_uncertainty,
     misclassification_ccdf,
     rival_class,
     sample_dropout_masks,

@@ -406,11 +406,14 @@ def cmd_sweep(args) -> int:
     for t in losses:
         if t not in SWEEP_VARIANTS:
             raise ConfigurationError(f"unknown sweep loss token {t!r}")
-    dropouts = (
-        [float(v) for v in args.dropouts.split(",") if v.strip()]
-        if args.dropouts
-        else [cfg.ensemble_dropout]
-    )
+    try:
+        dropouts = (
+            [float(v) for v in args.dropouts.split(",") if v.strip()]
+            if args.dropouts
+            else [cfg.ensemble_dropout]
+        )
+    except ValueError:
+        raise ConfigurationError(f"--dropouts must list numbers, got {args.dropouts!r}") from None
     # every run's config is built, and so checked, before the first one trains
     runs = [
         (token, p, seed, replace(cfg, seed=seed, ensemble_dropout=p, **SWEEP_VARIANTS[token]))
@@ -418,6 +421,11 @@ def cmd_sweep(args) -> int:
         for p in dropouts
         for seed in range(cfg.seed, cfg.seed + args.seeds)
     ]
+    if not runs:  # --seeds below 1, or --losses or --dropouts naming no value
+        raise ConfigurationError(
+            f"the sweep has no runs: --seeds {args.seeds}, --losses {args.losses!r}, "
+            f"--dropouts {args.dropouts!r}"
+        )
 
     rows = []  # (loss, dropout, seed, metric, value)
     for token, p, seed, run_cfg in runs:

@@ -19,6 +19,7 @@ initializes centers from per-class feature means at the phase boundary).
 
 from __future__ import annotations
 
+import os
 import zipfile
 from dataclasses import dataclass
 
@@ -47,7 +48,6 @@ from .uncertainty import (
     EnsembleConfig,
     class_uncertainty,
     error_moments,
-    mc_uncertainty,
     misclassification_ccdf,
     rival_class,
     sample_dropout_masks,
@@ -267,8 +267,10 @@ class RunConfig:
     def __post_init__(self):
         if self.data_kind not in ("binary", "longtail", "csv"):
             raise ConfigurationError(f"unknown data.kind {self.data_kind!r}")
-        if self.data_kind == "csv" and not self.data_path:
-            raise ConfigurationError("data.kind=csv requires data.path")
+        if self.data_kind == "csv" and not os.path.isfile(self.data_path):
+            raise ConfigurationError(
+                f"data.kind=csv requires data.path to name a file, got {self.data_path!r}"
+            )
         if self.train_loss not in LOSS_CHOICES:
             raise ConfigurationError(f"unknown train.loss {self.train_loss!r}")
         for name, ok, rule in (
@@ -293,7 +295,7 @@ class RunConfig:
             ("train_margin", 1 <= self.train_margin <= M_MAX, f"lie in [1, {M_MAX}]"),
             ("train_uncertainty_scale", self.train_uncertainty_scale > 0, "be positive"),
             ("train_margin_blend", 0 < self.train_margin_blend <= 1, "lie in (0, 1]"),
-            ("ensemble_passes", self.ensemble_passes >= 1, "be positive"),
+            ("ensemble_passes", self.ensemble_passes >= 2, "be at least 2"),
             ("ensemble_dropout", 0 < self.ensemble_dropout < 1, "lie in (0, 1)"),
             ("ensemble_tau", self.ensemble_tau > 0, "be positive"),
             ("cluster_lambda", self.cluster_lambda > 0, "be positive"),
@@ -335,31 +337,30 @@ def ensemble_class_uncertainty(
     """Per-class uncertainty from an N-pass dropout ensemble over the dataset.
 
     Each pass applies one sampled sub-network to every input. The ensemble
-    outputs are the predictive probabilities (softmax of the logits): their
-    variance vanishes for samples the model is consistently sure about and
-    peaks where sub-networks disagree, which is what makes the per-class
-    average track class rarity. Per-sample covariances are averaged into
-    class-level scalars.
+    outputs are the predictive probabilities (softmax of the logits). A
+    sample's uncertainty is the variance across passes of its own-class
+    probability plus the 1/tau floor: it vanishes, down to the floor, for
+    samples the model is consistently sure about and peaks where sub-networks
+    disagree, which is what makes the per-class average track class rarity.
     """
-    masks = sample_dropout_masks(cfg, _mask_widths(model), mask_seed)
-    stacks = np.stack(
-        [
-            softmax_rows(forward(model, dataset.features, m, cfg.dropout_rate).logits)
-            for m in masks
-        ]
-    )
-    estimates = [
-        mc_uncertainty(stacks[:, i, :], cfg, true_class=int(y))
-        for i, y in enumerate(dataset.labels)
-    ]
-    return class_uncertainty(estimates, dataset.labels, dataset.n_classes)
+    rows, labels = np.arange(dataset.n_samples), dataset.labels
+    passes = _ensemble_passes(model, dataset.features, cfg, mask_seed)
+    own = np.stack([softmax_rows(cache.logits)[rows, labels] for cache in passes])
+    _, variance = sample_feature_moments(own)
+    return class_uncertainty(variance + 1.0 / cfg.precision, labels, dataset.n_classes)
 
 
-def _mask_widths(model: MlpModel) -> list[int]:
+def _ensemble_passes(model: MlpModel, x: np.ndarray, ens: EnsembleConfig, seed: int):
+    """Yield the forward pass of each dropout sub-network over ``x``, one at a time.
+
+    Passes are made lazily, so a caller that reduces each one as it arrives
+    never holds the activations of all N passes at once.
+    """
     widths = model.layer_widths
     if not widths:
         raise ConfigurationError("dropout ensembles need at least one hidden layer")
-    return widths
+    for masks in sample_dropout_masks(ens, widths, seed):
+        yield forward(model, x, masks, ens.dropout_rate)
 
 
 def _refresh_margins(model: MlpModel, dataset: Dataset, cfg: RunConfig, rng: np.random.Generator) -> None:
@@ -398,9 +399,8 @@ def _batch_ccdfs(
     model: MlpModel, xb: np.ndarray, yb: np.ndarray, cfg: RunConfig, rng: np.random.Generator
 ) -> np.ndarray:
     """Per-sample misclassification probabilities from ensemble feature moments."""
-    ens = cfg.ensemble
-    masks = sample_dropout_masks(ens, _mask_widths(model), int(rng.integers(0, 2**63)))
-    feats = np.stack([forward(model, xb, m, ens.dropout_rate).feature for m in masks], axis=1)
+    passes = _ensemble_passes(model, xb, cfg.ensemble, int(rng.integers(0, 2**63)))
+    feats = np.stack([cache.feature for cache in passes], axis=1)
     state = model.classifier
     mu_f, sigma_f = sample_feature_moments(feats)
     rivals = rival_class(state, mu_f, yb)

@@ -1,10 +1,11 @@
 """Dropout-ensemble predictive moments and misclassification probabilities.
 
 An N-member ensemble is formed by running the same network under N
-independent Bernoulli keep-masks. The first moment of the stacked outputs
-is the prediction; the second moment (plus the precision floor) is the
-uncertainty. At the sample level, features are modeled as a diagonal
-Gaussian whose moments feed a closed-form misclassification probability.
+independent Bernoulli keep-masks. A sample's uncertainty is the variance
+across the passes of its own-class output, plus the precision floor; the
+class uncertainty averages it over each class. At the sample level, features
+are modeled as a diagonal Gaussian whose moments feed a closed-form
+misclassification probability.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import numpy as np
 
 from .errors import ConfigurationError, DimensionError, LabelError, ParameterError
 from .margin_loss import ClassifierState
-from .numerics import DenseMatrix, DenseVector, as_matrix
 
 logger = logging.getLogger(__name__)
 
@@ -31,7 +31,8 @@ class EnsembleConfig:
     dropout_rate is the keep-probability: each unit stays active with this
     probability and kept activations are scaled by its inverse, so the
     rate -> 1 limit is the deterministic network. precision is tau; its
-    inverse is the variance floor added to every covariance estimate.
+    inverse is the variance floor added to every sample's own-class variance.
+    A variance needs at least two passes.
     """
 
     n_passes: int = 10
@@ -39,28 +40,14 @@ class EnsembleConfig:
     precision: float = 100.0
 
     def __post_init__(self):
-        if self.n_passes < 1:
-            raise ConfigurationError(f"n_passes must be positive, got {self.n_passes!r}")
+        if self.n_passes < 2:
+            raise ConfigurationError(f"n_passes must be at least 2, got {self.n_passes!r}")
         if not 0.0 < self.dropout_rate < 1.0:
             raise ConfigurationError(
                 f"dropout_rate must lie in (0, 1), got {self.dropout_rate!r}"
             )
         if self.precision <= 0:
             raise ConfigurationError(f"precision must be positive, got {self.precision!r}")
-
-
-@dataclass
-class UncertaintyEstimate:
-    """Predictive mean, covariance (with the tau^-1 I floor), and a scalar summary.
-
-    The scalar is the covariance diagonal entry of the sample's true class
-    when a label is supplied to ``mc_uncertainty``, otherwise the mean
-    diagonal entry.
-    """
-
-    mean: DenseVector
-    covariance: DenseMatrix
-    scalar: float
 
 
 def sample_dropout_masks(
@@ -82,44 +69,18 @@ def sample_dropout_masks(
     ]
 
 
-def mc_uncertainty(
-    outputs, cfg: EnsembleConfig, true_class: int | None = None
-) -> UncertaintyEstimate:
-    """Second-moment covariance tau^-1 I + E[y y^T] - m m^T of the ensemble."""
-    stack = as_matrix(outputs, "outputs")
-    n = stack.shape[0]
-    if n < 2:
-        raise ConfigurationError("variance estimation needs at least two ensemble passes")
-    mean = stack.mean(axis=0)
-    second = stack.T @ stack / n
-    cov = second - np.outer(mean, mean)
-    cov += np.eye(stack.shape[1]) / cfg.precision
-    diag = np.diag(cov)
-    if true_class is None:
-        scalar = float(diag.mean())
-    else:
-        if not 0 <= true_class < stack.shape[1]:
-            raise LabelError(f"true_class {true_class} out of range")
-        scalar = float(diag[true_class])
-    return UncertaintyEstimate(mean=mean, covariance=cov, scalar=scalar)
-
-
-def class_uncertainty(estimates, labels, n_classes: int | None = None) -> np.ndarray:
-    """Per-class mean of each sample's own-class variance entry.
+def class_uncertainty(values, labels, n_classes: int) -> np.ndarray:
+    """Per-class mean of each sample's own-class uncertainty ``values`` (B,).
 
     Classes with no samples receive the global mean and are logged. Values
     are summed in sorted order so the result is independent of sample order.
     """
+    own = np.asarray(values, dtype=np.float64)
     labs = np.asarray(labels, dtype=np.int64)
-    if labs.ndim != 1 or labs.shape[0] != len(estimates):
-        raise DimensionError("labels must be 1-D with one entry per estimate")
-    if n_classes is None:
-        n_classes = estimates[0].covariance.shape[0]
+    if own.ndim != 1 or labs.shape != own.shape:
+        raise DimensionError("values and labels must be 1-D with one entry per sample")
     if labs.size and (labs.min() < 0 or labs.max() >= n_classes):
         raise LabelError("label out of range")
-    own = np.array(
-        [est.covariance[k, k] for est, k in zip(estimates, labs)], dtype=np.float64
-    )
     global_mean = float(np.sort(own).mean()) if own.size else 0.0
     result = np.empty(n_classes, dtype=np.float64)
     for k in range(n_classes):

@@ -45,7 +45,12 @@ from ummlearn.network import (
 )
 from ummlearn.numerics import cos_m_theta
 from ummlearn.seeding import stream_rng, stream_seed
-from ummlearn.uncertainty import EnsembleConfig, mc_uncertainty, misclassification_ccdf
+from ummlearn.uncertainty import (
+    EnsembleConfig,
+    class_uncertainty,
+    misclassification_ccdf,
+    sample_feature_moments,
+)
 
 GRAD_TOL = 1e-4
 MINORITY_CLASSES = [5, 6, 7, 8, 9]
@@ -299,8 +304,9 @@ class TestCriterion5UncertaintyFloor:
     def test_floor_and_ccdf(self):
         cfg = EnsembleConfig(n_passes=8, precision=100.0)
         stack = np.tile([0.5, -0.25, 1.0], (8, 1))  # dyadic values, exact sums
-        est = mc_uncertainty(stack, cfg)
-        floor_exact = np.array_equal(est.covariance, np.eye(3) / 100.0)
+        _, variance = sample_feature_moments(stack)  # column k: own class k
+        u = class_uncertainty(variance + 1.0 / cfg.precision, [0, 1, 2], 3)
+        floor_exact = np.array_equal(u, np.full(3, 1.0 / 100.0))
 
         centered = misclassification_ccdf(0.0, 1.0) == 0.5
         mus = np.linspace(-6.0, 6.0, 201)

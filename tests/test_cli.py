@@ -155,6 +155,8 @@ class TestTrainCommand:
             ("model.hidden=0\n", "model.hidden"),
             ("ensemble.dropout=1.0\n", "ensemble.dropout"),
             ("model.hidden=\ntrain.loss=uncertainty-weighted\n", "model.hidden"),
+            ("ensemble.passes=1\n", "ensemble.passes"),
+            ("data.kind=csv\ndata.path=no/such/file.csv\n", "data.path"),
         ],
     )
     def test_bad_value_rejected_before_any_output(self, extra, key, tmp_path, capsys):
@@ -360,6 +362,25 @@ class TestSweepCommand:
         assert code == 2
         assert "model.hidden" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_non_numeric_dropouts_exit_code_2(self, config_path, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = main(["sweep", "--config", str(config_path), "--out", str(out), "--seeds", "1",
+                     "--losses", "softmax", "--dropouts", "abc"])
+        assert code == 2
+        assert "--dropouts" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize(
+        "seeds, losses", [("0", "softmax"), ("-3", "softmax"), ("1", ",")]
+    )
+    def test_no_runs_exit_code_2(self, seeds, losses, config_path, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = main(["sweep", "--config", str(config_path), "--out", str(out), "--seeds", seeds,
+                     "--losses", losses])
+        assert code == 2
+        assert f"--seeds {seeds}" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
 
     def test_unknown_loss_token(self, config_path, tmp_path, capsys):
         code = main(["sweep", "--config", str(config_path), "--out", str(tmp_path / "x"),

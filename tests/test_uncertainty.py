@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from helpers import normal_cdf_simpson
+from ummlearn.data import gaussian_blobs, longtail_blob_specs, two_class_blob_specs
 from ummlearn.errors import ConfigurationError, ParameterError
 from ummlearn.margin_loss import ClassifierState
+from ummlearn.network import MlpModel, ensemble_class_uncertainty
+from ummlearn.seeding import stream_rng, stream_seed
 from ummlearn.uncertainty import (
     EnsembleConfig,
     class_uncertainty,
     error_moments,
-    mc_uncertainty,
     misclassification_ccdf,
     rival_class,
     sample_dropout_masks,
@@ -51,7 +53,7 @@ class TestSampleDropoutMasks:
                 np.testing.assert_array_equal(ma, mb)
 
     def test_empirical_keep_fraction(self):
-        cfg = EnsembleConfig(n_passes=1, dropout_rate=0.5)
+        cfg = EnsembleConfig(n_passes=2, dropout_rate=0.5)
         masks = sample_dropout_masks(cfg, [100_000], rng_seed=7)
         frac = masks[0][0].mean()
         assert abs(frac - 0.5) < 0.01
@@ -61,73 +63,71 @@ class TestSampleDropoutMasks:
             sample_dropout_masks(EnsembleConfig(), [0], rng_seed=0)
 
 
+def own_class_uncertainty(stack, cfg):
+    """Each column's variance across the passes of an (N, C) stack, plus 1/tau.
+
+    A column is one class's output, so entry k is the uncertainty of a
+    sample whose own class is k, as ``ensemble_class_uncertainty`` takes it.
+    """
+    return sample_feature_moments(stack)[1] + 1.0 / cfg.precision
+
+
 class TestMcUncertainty:
     def test_identical_outputs_floor_only(self):
         cfg = EnsembleConfig(n_passes=4, precision=100.0)
         stack = np.tile([0.3, -0.7], (4, 1))
-        est = mc_uncertainty(stack, cfg)
-        np.testing.assert_allclose(est.covariance, np.eye(2) / 100.0, atol=1e-15)
+        np.testing.assert_allclose(own_class_uncertainty(stack, cfg), [0.01, 0.01], atol=1e-15)
 
     def test_hand_second_moment(self):
         cfg = EnsembleConfig(n_passes=2, precision=1.0)
-        est = mc_uncertainty(np.array([[1.0, 0.0], [-1.0, 0.0]]), cfg)
-        np.testing.assert_allclose(np.diag(est.covariance), [2.0, 1.0])
+        u = own_class_uncertainty(np.array([[1.0, 0.0], [-1.0, 0.0]]), cfg)
+        np.testing.assert_allclose(u, [2.0, 1.0])
 
     def test_floor_on_diagonal_and_psd(self):
+        # the own-class entries are the covariance diagonal: a variance, so
+        # never negative, and the floor holds with no slack
         rng = np.random.default_rng(13)
         cfg = EnsembleConfig(n_passes=10, precision=100.0)
         for _ in range(20):
             stack = rng.standard_normal((10, 5))
-            est = mc_uncertainty(stack, cfg)
-            assert np.all(np.diag(est.covariance) >= 1.0 / cfg.precision - 1e-12)
-            # sample covariance component is PSD: eigenvalue oracle
-            eigs = np.linalg.eigvalsh(est.covariance - np.eye(5) / cfg.precision)
-            assert eigs.min() > -1e-10
+            u = own_class_uncertainty(stack, cfg)
+            assert np.all(u >= 1.0 / cfg.precision)
+            np.testing.assert_allclose(u - 1.0 / cfg.precision, np.var(stack, axis=0), atol=1e-12)
 
     def test_true_class_scalar(self):
         cfg = EnsembleConfig(n_passes=2, precision=1.0)
-        est = mc_uncertainty(np.array([[1.0, 0.0], [-1.0, 0.0]]), cfg, true_class=0)
-        assert est.scalar == pytest.approx(2.0)
+        stack = np.array([[1.0, 0.0], [-1.0, 0.0]])
+        u = class_uncertainty(own_class_uncertainty(stack, cfg)[[0]], [0], 2)
+        assert u[0] == pytest.approx(2.0)
 
     def test_single_pass_rejected(self):
         with pytest.raises(ConfigurationError):
-            mc_uncertainty(np.ones((1, 2)), EnsembleConfig(n_passes=1))
+            EnsembleConfig(n_passes=1)
 
 
 class TestClassUncertainty:
-    def _estimates(self, covs):
-        cfg = EnsembleConfig(n_passes=2, precision=100.0)
-        out = []
-        for c in covs:
-            est = mc_uncertainty(np.zeros((2, len(c))), cfg)
-            est.covariance = np.diag(np.asarray(c, dtype=float))
-            out.append(est)
-        return out
-
     def test_floor_everywhere(self):
         cfg = EnsembleConfig(n_passes=3, precision=100.0)
-        ests = [mc_uncertainty(np.zeros((3, 2)), cfg) for _ in range(4)]
-        u = class_uncertainty(ests, [0, 0, 1, 1])
+        values = [own_class_uncertainty(np.zeros((3, 2)), cfg)[0] for _ in range(4)]
+        u = class_uncertainty(values, [0, 0, 1, 1], 2)
         np.testing.assert_allclose(u, [0.01, 0.01])
 
     def test_higher_variance_class_larger(self):
-        ests = self._estimates([[0.1, 0.0], [0.1, 0.0], [0.0, 0.5], [0.0, 0.5]])
-        u = class_uncertainty(ests, [0, 0, 1, 1])
+        u = class_uncertainty([0.1, 0.1, 0.5, 0.5], [0, 0, 1, 1], 2)
         assert u[1] > u[0]
 
     def test_sample_order_invariant(self):
         rng = np.random.default_rng(17)
         covs = [rng.uniform(0.0, 1.0, 3) for _ in range(12)]
         labels = rng.integers(0, 3, 12)
-        ests = self._estimates(covs)
-        base = class_uncertainty(ests, labels)
+        values = np.array([c[k] for c, k in zip(covs, labels)])
+        base = class_uncertainty(values, labels, 3)
         perm = rng.permutation(12)
-        out = class_uncertainty([ests[i] for i in perm], labels[perm], n_classes=3)
+        out = class_uncertainty(values[perm], labels[perm], 3)
         np.testing.assert_array_equal(out, base)
 
     def test_empty_class_gets_global_mean(self):
-        ests = self._estimates([[0.2, 0.0, 0.0], [0.4, 0.0, 0.0]])
-        u = class_uncertainty(ests, [0, 0], n_classes=3)
+        u = class_uncertainty([0.2, 0.4], [0, 0], 3)
         assert u[1] == pytest.approx(np.mean([0.2, 0.4]))
         assert u[2] == pytest.approx(np.mean([0.2, 0.4]))
 
@@ -262,18 +262,19 @@ class TestBatchAxis:
 class TestNoDropoutLimit:
     def test_keep_prob_one_gives_floor_covariance(self):
         # p -> 1: every ensemble member is the deterministic network, so each
-        # sample's covariance collapses to the precision floor
-        from ummlearn.data import gaussian_blobs, two_class_blob_specs
-        from ummlearn.network import MlpModel, forward
-        from ummlearn.seeding import stream_rng, stream_seed
-
+        # sample's own-class variance collapses to the precision floor
         ds = gaussian_blobs(two_class_blob_specs(10, 10), seed=stream_seed(3, "data"))
         model = MlpModel.init(2, (8, 8), 2, stream_rng(3, "init"))
         cfg = EnsembleConfig(n_passes=6, dropout_rate=1 - 1e-9, precision=100.0)
-        masks = sample_dropout_masks(cfg, model.layer_widths, rng_seed=4)
-        stacks = np.stack(
-            [forward(model, ds.features, m, cfg.dropout_rate).logits for m in masks]
-        )
-        for i in range(ds.n_samples):
-            est = mc_uncertainty(stacks[:, i, :], cfg)
-            np.testing.assert_allclose(est.covariance, np.eye(2) / 100.0, atol=1e-12)
+        u = ensemble_class_uncertainty(model, ds, cfg, mask_seed=4)
+        np.testing.assert_allclose(u, np.full(2, 1.0 / 100.0), atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_class_uncertainty_floor_exact(self, seed):
+        # a two-pass variance is never negative, so 1/tau bounds every class
+        # uncertainty with no slack, even where all the passes agree
+        ds = gaussian_blobs(longtail_blob_specs(), seed=stream_seed(seed, "data-train"))
+        model = MlpModel.init(2, (32, 32), 10, stream_rng(seed, "init"))
+        cfg = EnsembleConfig(n_passes=10, dropout_rate=1 - 1e-9)
+        u = ensemble_class_uncertainty(model, ds, cfg, mask_seed=7)
+        assert np.all(u >= 1.0 / cfg.precision)
