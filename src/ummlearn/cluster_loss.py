@@ -4,6 +4,11 @@ the pairwise center distances toward their mean.
 
 Centers are not trained by these gradients alone; ``update_centers`` applies
 the damped per-class moving-average rule and is called once per batch.
+
+Rounding contract: the pair terms add to the hinge value and to each center
+gradient row one pair j < k at a time, in ``np.triu_indices`` order, and
+``update_centers`` adds each class's rows one at a time, sorted
+lexicographically: bit for bit the result of plain loops over pairs and classes.
 """
 
 from __future__ import annotations
@@ -95,65 +100,65 @@ def update_centers(state: ClusterState, features, labels) -> ClusterState:
 
     delta_k averages (c_k - r_i) over the class-k rows with a +1 damping
     term; classes absent from the batch are untouched. Class rows are summed
-    in lexicographic order so batch shuffling cannot change the rounding.
+    one by one in lexicographic order so batch shuffling cannot change the
+    rounding.
     """
     feats, labs = _check_batch(state, features, labels)
+    order = np.lexsort((*feats.T[::-1], labs))
+    row_sum = np.zeros_like(state.centers)
+    np.add.at(row_sum, labs[order], feats[order])
+    n = np.bincount(labs, minlength=state.n_classes)
+    present = n > 0
+    n, c = n[present, None], state.centers[present]
     new_state = state.clone()
-    centers = new_state.centers
-    for k in range(state.n_classes):
-        rows = feats[labs == k]
-        n_k = rows.shape[0]
-        if n_k == 0:
-            continue
-        order = np.lexsort(rows.T[::-1])
-        row_sum = rows[order].sum(axis=0)
-        delta = (n_k * centers[k] - row_sum) / (1.0 + n_k)
-        centers[k] = centers[k] - state.alpha * delta
+    new_state.centers[present] = c - state.alpha * ((n * c - row_sum[present]) / (1.0 + n))
     return new_state
 
 
-def _pairwise(state: ClusterState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _pairwise(state: ClusterState) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Pairs j < k in ``triu_indices`` order: j, k, the distances d and the unit
+    vectors (c_j - c_k) / d, zero where d == 0 (subgradient at coincident centers)."""
     if state.n_classes < 2:
         raise ConfigurationError("pairwise center losses need at least two centers")
-    c = state.centers
     iu, ju = np.triu_indices(state.n_classes, k=1)
-    d = np.linalg.norm(c[iu] - c[ju], axis=1)
-    return iu, ju, d
+    diff = state.centers[iu] - state.centers[ju]
+    d = np.linalg.norm(diff, axis=1)
+    unit = diff / np.where(d == 0.0, 1.0, d)[:, None]
+    unit[d == 0.0] = 0.0
+    return iu, ju, d, unit
+
+
+def _push_apart(grad: DenseMatrix, iu, ju, v) -> None:
+    """grad[j] += v_p and grad[k] -= v_p for each pair p = (j, k). In ``triu``
+    order every pair (i, r) precedes every pair (r, k), so scattering the ``ju``
+    terms and then the ``iu`` terms adds to each row in pair order."""
+    np.add.at(grad, ju, -v)
+    np.add.at(grad, iu, v)
+
+
+def _diversity(state: ClusterState, pairs) -> tuple[float, DenseMatrix]:
+    iu, ju, d, unit = pairs
+    mu = float(d.mean())
+    value = float(np.mean((d - mu) ** 2))
+    grad = np.zeros_like(state.centers)
+    _push_apart(grad, iu, ju, (2.0 / d.size * (d - mu))[:, None] * unit)
+    return value, grad
 
 
 def diversity_regularizer(state: ClusterState) -> tuple[float, DenseMatrix]:
     """Variance of the pairwise center distances, E[(d_jk - mu)^2] over j < k."""
-    iu, ju, d = _pairwise(state)
-    mu = float(d.mean())
-    value = float(np.mean((d - mu) ** 2))
-    grad = np.zeros_like(state.centers)
-    n_pairs = d.size
-    coeff = 2.0 / n_pairs * (d - mu)
-    for p in range(n_pairs):
-        if d[p] == 0.0:
-            continue  # subgradient 0 at coincident centers
-        unit = (state.centers[iu[p]] - state.centers[ju[p]]) / d[p]
-        grad[iu[p]] += coeff[p] * unit
-        grad[ju[p]] -= coeff[p] * unit
-    return value, grad
+    return _diversity(state, _pairwise(state))
 
 
 def inter_class_margin_loss(state: ClusterState) -> tuple[float, DenseMatrix]:
     """Hinge separation sum_{j<k} max(0, lam - d(c_j, c_k)) plus the diversity term."""
-    iu, ju, d = _pairwise(state)
-    reg_value, grad = diversity_regularizer(state)
-    grad = grad.copy()
-    value = reg_value
-    for p in range(d.size):
-        gap = state.lam - d[p]
-        if gap <= 0.0:
-            continue
-        value += gap
-        if d[p] == 0.0:
-            continue  # subgradient 0 at coincident centers
-        unit = (state.centers[iu[p]] - state.centers[ju[p]]) / d[p]
-        grad[iu[p]] -= unit
-        grad[ju[p]] += unit
+    iu, ju, d, unit = pairs = _pairwise(state)
+    reg_value, grad = _diversity(state, pairs)
+    gap = state.lam - d
+    active = gap > 0.0
+    # cumsum adds the gaps one by one in pair order; np.sum would add pairwise
+    value = np.cumsum(np.concatenate(([reg_value], gap[active])))[-1]
+    _push_apart(grad, iu[active], ju[active], -unit[active])
     return float(value), grad
 
 

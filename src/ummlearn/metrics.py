@@ -86,14 +86,6 @@ class PrecisionRecallF1:
     f1: np.ndarray
 
     @property
-    def macro_precision(self) -> float:
-        return float(self.precision.mean())
-
-    @property
-    def macro_recall(self) -> float:
-        return float(self.recall.mean())
-
-    @property
     def macro_f1(self) -> float:
         return float(self.f1.mean())
 

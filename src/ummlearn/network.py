@@ -19,6 +19,7 @@ initializes centers from per-class feature means at the phase boundary).
 
 from __future__ import annotations
 
+import math
 import os
 import zipfile
 from dataclasses import dataclass
@@ -133,7 +134,6 @@ class ForwardCache:
     keep_prob: float
     feature: np.ndarray
     logits: np.ndarray
-    single: bool
 
 
 @dataclass
@@ -146,8 +146,7 @@ class Gradients:
 def forward(model: MlpModel, x, masks=None, keep_prob: float = 1.0) -> ForwardCache:
     """Run the network; with masks, inverted dropout scales kept units by 1/keep_prob."""
     arr = np.asarray(x, dtype=np.float64)
-    single = arr.ndim == 1
-    if single:
+    if arr.ndim == 1:
         arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != model.input_dim:
         raise DimensionError(
@@ -174,7 +173,6 @@ def forward(model: MlpModel, x, masks=None, keep_prob: float = 1.0) -> ForwardCa
         keep_prob=keep_prob,
         feature=h,
         logits=logits,
-        single=single,
     )
 
 
@@ -273,7 +271,9 @@ class RunConfig:
             )
         if self.train_loss not in LOSS_CHOICES:
             raise ConfigurationError(f"unknown train.loss {self.train_loss!r}")
-        for name, ok, rule in (
+        floats = [(name, v) for name, v in vars(self).items() if isinstance(v, float)]
+        finite = [(name, math.isfinite(v), "be finite") for name, v in floats]
+        for name, ok, rule in finite + [
             ("data_dim", self.data_dim >= 1, "be positive"),
             ("data_std", self.data_std > 0, "be positive"),
             ("data_classes", self.data_classes >= 2, "be at least 2"),
@@ -302,7 +302,7 @@ class RunConfig:
             ("cluster_s", self.cluster_s > 2, "exceed 2"),
             ("cluster_alpha", 0 < self.cluster_alpha <= 1, "lie in (0, 1]"),
             ("cluster_weight", self.cluster_weight >= 0, "be nonnegative"),
-        ):
+        ]:
             if not ok:
                 key = name.replace("_", ".", 1)
                 raise ConfigurationError(f"{key} must {rule}, got {getattr(self, name)!r}")

@@ -157,6 +157,11 @@ class TestTrainCommand:
             ("model.hidden=\ntrain.loss=uncertainty-weighted\n", "model.hidden"),
             ("ensemble.passes=1\n", "ensemble.passes"),
             ("data.kind=csv\ndata.path=no/such/file.csv\n", "data.path"),
+            ("data.radius=nan\n", "data.radius"),
+            ("data.separation=inf\n", "data.separation"),
+            ("data.std=inf\n", "data.std"),
+            ("data.decay=nan\n", "data.decay"),
+            ("train.lr=inf\n", "train.lr"),
         ],
     )
     def test_bad_value_rejected_before_any_output(self, extra, key, tmp_path, capsys):

@@ -31,6 +31,80 @@ def random_cluster_instance(rng, n_classes=4, dim=3, batch=6, lam=2.0, away_from
             return state, feats, labels
 
 
+# The loops that the array code replaced, verbatim: they pin the rounding order.
+def reference_update_centers(state: ClusterState, features, labels) -> ClusterState:
+    feats, labs = np.asarray(features, dtype=np.float64), np.asarray(labels, dtype=np.int64)
+    new_state = state.clone()
+    centers = new_state.centers
+    for k in range(state.n_classes):
+        rows = feats[labs == k]
+        n_k = rows.shape[0]
+        if n_k == 0:
+            continue
+        order = np.lexsort(rows.T[::-1])
+        row_sum = rows[order].sum(axis=0)
+        delta = (n_k * centers[k] - row_sum) / (1.0 + n_k)
+        centers[k] = centers[k] - state.alpha * delta
+    return new_state
+
+
+def reference_pairwise(state: ClusterState):
+    c = state.centers
+    iu, ju = np.triu_indices(state.n_classes, k=1)
+    d = np.linalg.norm(c[iu] - c[ju], axis=1)
+    return iu, ju, d
+
+
+def reference_diversity_regularizer(state: ClusterState):
+    iu, ju, d = reference_pairwise(state)
+    mu = float(d.mean())
+    value = float(np.mean((d - mu) ** 2))
+    grad = np.zeros_like(state.centers)
+    n_pairs = d.size
+    coeff = 2.0 / n_pairs * (d - mu)
+    for p in range(n_pairs):
+        if d[p] == 0.0:
+            continue  # subgradient 0 at coincident centers
+        unit = (state.centers[iu[p]] - state.centers[ju[p]]) / d[p]
+        grad[iu[p]] += coeff[p] * unit
+        grad[ju[p]] -= coeff[p] * unit
+    return value, grad
+
+
+def reference_inter_class_margin_loss(state: ClusterState):
+    iu, ju, d = reference_pairwise(state)
+    reg_value, grad = reference_diversity_regularizer(state)
+    grad = grad.copy()
+    value = reg_value
+    for p in range(d.size):
+        gap = state.lam - d[p]
+        if gap <= 0.0:
+            continue
+        value += gap
+        if d[p] == 0.0:
+            continue  # subgradient 0 at coincident centers
+        unit = (state.centers[iu[p]] - state.centers[ju[p]]) / d[p]
+        grad[iu[p]] -= unit
+        grad[ju[p]] += unit
+    return float(value), grad
+
+
+def seeded_center_states(seed, count=200):
+    """Seeded (state, features, labels) with a coincident center pair and a class
+    absent from the batch in every instance; dims from 2, where each class sum
+    adds its rows one by one (numpy sums a one-column array pairwise)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n_classes = int(rng.integers(3, 11))
+        dim = int(rng.choice([2, 3, 8, 32]))
+        batch = int(rng.choice([1, 7, 32, 64]))
+        centers = float(rng.choice([0.5, 3.0, 10.0])) * rng.standard_normal((n_classes, dim))
+        centers[rng.integers(1, n_classes)] = centers[0]
+        feats = 3.0 * rng.standard_normal((batch, dim))
+        labels = rng.integers(0, n_classes - 1, batch)
+        yield ClusterState.coupled(centers, lam=float(rng.choice([1.0, 5.0, 10.0]))), feats, labels
+
+
 class TestClusterState:
     def test_coupled_constructor_ties_gamma(self):
         state = ClusterState.coupled(np.zeros((3, 2)), lam=10.0, s=4.0)
@@ -227,6 +301,9 @@ class TestInterClassMarginLoss:
         value, grad = inter_class_margin_loss(state)
         assert np.isfinite(value)
         assert np.all(np.isfinite(grad))
+        ref_value, ref_grad = reference_inter_class_margin_loss(state)
+        assert value == ref_value
+        np.testing.assert_array_equal(grad, ref_grad)
 
 
 class TestHybridLoss:
@@ -266,3 +343,28 @@ class TestHybridLoss:
                 state.centers.ravel(),
             )
             assert relative_errors(gc.ravel(), num_c).max() < 1e-4
+
+
+class TestLoopRounding:
+    """The array code reproduces the per-pair and per-class loops bit for bit."""
+
+    def test_diversity_regularizer(self):
+        for state, _, _ in seeded_center_states(43):
+            value, grad = diversity_regularizer(state)
+            ref_value, ref_grad = reference_diversity_regularizer(state)
+            assert value == ref_value
+            np.testing.assert_array_equal(grad, ref_grad)
+
+    def test_inter_class_margin_loss(self):
+        for state, _, _ in seeded_center_states(44):
+            value, grad = inter_class_margin_loss(state)
+            ref_value, ref_grad = reference_inter_class_margin_loss(state)
+            assert value == ref_value
+            np.testing.assert_array_equal(grad, ref_grad)
+
+    def test_update_centers(self):
+        for state, feats, labels in seeded_center_states(45):
+            out = update_centers(state, feats, labels).centers
+            ref = reference_update_centers(state, feats, labels).centers
+            np.testing.assert_array_equal(out, ref)
+            np.testing.assert_array_equal(np.signbit(out), np.signbit(ref))
