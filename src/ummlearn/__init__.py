@@ -33,11 +33,8 @@ from .margin_loss import (
     ClassifierState,
     LossResult,
     angular_margin_loss,
-    angular_variant_i,
-    angular_variant_ii,
     class_margin_from_uncertainty,
     large_margin_softmax_loss,
-    psi,
     softmax_loss,
     uncertainty_weighted_margin_loss,
 )
@@ -62,15 +59,9 @@ from .network import (
     sgd_step,
     train,
 )
-from .numerics import (
-    M_MAX,
-    DenseMatrix,
-    DenseVector,
-    cos_m_theta,
-)
+from .numerics import M_MAX, DenseMatrix, DenseVector
 from .seeding import stream_rng, stream_seed
 from .uncertainty import (
-    EnsembleConfig,
     class_uncertainty,
     error_moments,
     misclassification_ccdf,

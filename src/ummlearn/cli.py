@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 runtime failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import tempfile
@@ -289,7 +290,7 @@ def cmd_uncertainty(args) -> int:
     model, ds = _load_model_and_data(args)
     cfg = _load_config(args)
     seed = stream_seed(cfg.seed, "uncertainty-report")
-    u = ensemble_class_uncertainty(model, ds, cfg.ensemble, seed)
+    u = ensemble_class_uncertainty(model, ds, cfg, seed)
     lines = ["class,count,frequency,mean_uncertainty"]
     for k in range(ds.n_classes):
         lines.append(
@@ -312,6 +313,8 @@ def cmd_features2d(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if not 0.0 < args.tolerance < math.inf:
+        raise ConfigurationError(f"--tolerance must be finite and positive, got {args.tolerance!r}")
     rng = stream_rng(args.seed, "gradcheck")
     c, d = 4, 6
     state = ClassifierState(rng.standard_normal((c, d)))
@@ -385,6 +388,8 @@ def _gradcheck_hybrid(args, rng) -> int:
 
 
 def cmd_bias_demo(args) -> int:
+    if not 1.0 <= args.ratio < math.inf:
+        raise ConfigurationError(f"--ratio must be finite and at least 1, got {args.ratio!r}")
     report = data_mod.boundary_bias_demo(args.ratio, seed=args.seed)
     lines = [
         f"imbalance_ratio={args.ratio:g}",

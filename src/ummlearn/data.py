@@ -16,15 +16,11 @@ from .seeding import stream_rng, stream_seed
 
 @dataclass(frozen=True)
 class BlobSpec:
-    """One isotropic Gaussian class: mean vector, std, sample count.
-
-    ``seed`` overrides the derived per-class stream when given.
-    """
+    """One isotropic Gaussian class: mean vector, std, sample count."""
 
     mean: tuple
     std: float
     count: int
-    seed: int | None = None
 
     def __post_init__(self):
         if self.std <= 0:
@@ -76,8 +72,7 @@ class Dataset:
 def gaussian_blobs(specs, seed: int = 0) -> Dataset:
     """Sample one isotropic Gaussian blob per spec; class k = position k.
 
-    Deterministic per (seed, class index); a spec-level seed overrides the
-    derived stream for that class.
+    Deterministic per (seed, class index).
     """
     specs = list(specs)
     if not specs:
@@ -88,8 +83,7 @@ def gaussian_blobs(specs, seed: int = 0) -> Dataset:
     for k, spec in enumerate(specs):
         if len(spec.mean) != dim:
             raise DimensionError("all blob means must share one dimension")
-        class_seed = spec.seed if spec.seed is not None else stream_seed(seed, f"blob-{k}")
-        rng = np.random.default_rng(class_seed)
+        rng = np.random.default_rng(stream_seed(seed, f"blob-{k}"))
         samples = np.asarray(spec.mean, dtype=np.float64) + spec.std * rng.standard_normal(
             (spec.count, dim)
         )
@@ -240,41 +234,34 @@ class BoundaryBiasReport:
     minority_count: int
 
 
-def balanced_gaussian_error(threshold: float, mean_a: float, mean_b: float, std: float = 1.0) -> float:
+def balanced_gaussian_error(threshold: float, mean_a: float, mean_b: float) -> float:
     """Equal-prior test error of the rule 'class A below threshold, B above'
-    for two unit-variance-style Gaussians."""
+    for two unit-variance Gaussians."""
 
     def cdf(x: float, mu: float) -> float:
-        return 0.5 * (1.0 + math.erf((x - mu) / (std * math.sqrt(2.0))))
+        return 0.5 * (1.0 + math.erf((x - mu) / math.sqrt(2.0)))
 
     return 0.5 * (1.0 - cdf(threshold, mean_a)) + 0.5 * cdf(threshold, mean_b)
 
 
-def boundary_bias_demo(
-    imbalance_ratio: float,
-    seed: int = 0,
-    majority_count: int = 1000,
-    separation: float = 2.0,
-    std: float = 1.0,
-    learning_rate: float = 0.5,
-    iterations: int = 3000,
-) -> BoundaryBiasReport:
+def boundary_bias_demo(imbalance_ratio: float, seed: int = 0) -> BoundaryBiasReport:
     """Train a bias-free 2-class linear softmax on imbalanced 1-D Gaussians.
 
     The input is augmented with a constant feature so the linear classifier
-    can place an offset threshold. The majority class sits at -separation/2,
-    the minority at +separation/2; the learned threshold is compared against
-    the equal-prior optimal midpoint and both are scored by their balanced
-    test error (closed-form Gaussian tails).
+    can place an offset threshold. 1000 majority samples sit at -1 and
+    round(1000 / imbalance_ratio) minority samples at +1, both with unit
+    variance; the classifier takes 3000 full-batch gradient steps of size
+    0.5. The learned threshold is compared against the equal-prior optimal
+    midpoint and both are scored by their balanced test error (closed-form
+    Gaussian tails).
     """
-    if imbalance_ratio < 1.0:
-        raise ParameterError(f"imbalance_ratio must be >= 1, got {imbalance_ratio!r}")
-    mean_maj = -separation / 2.0
-    mean_min = +separation / 2.0
+    if not 1.0 <= imbalance_ratio < math.inf:
+        raise ParameterError(f"imbalance_ratio must be finite and >= 1, got {imbalance_ratio!r}")
+    mean_maj, mean_min, majority_count = -1.0, 1.0, 1000
     minority_count = max(1, int(round(majority_count / imbalance_ratio)))
     rng = stream_rng(seed, "bias-demo")
-    x_maj = mean_maj + std * rng.standard_normal(majority_count)
-    x_min = mean_min + std * rng.standard_normal(minority_count)
+    x_maj = mean_maj + rng.standard_normal(majority_count)
+    x_min = mean_min + rng.standard_normal(minority_count)
     x = np.concatenate([x_maj, x_min])
     y = np.concatenate(
         [np.zeros(majority_count, dtype=np.int64), np.ones(minority_count, dtype=np.int64)]
@@ -285,13 +272,13 @@ def boundary_bias_demo(
 
     w = 0.01 * stream_rng(seed, "bias-demo-init").standard_normal((2, 2))
     n = float(x.size)
-    for _ in range(iterations):
+    for _ in range(3000):
         logits = features @ w.T
         logits -= logits.max(axis=1, keepdims=True)
         ez = np.exp(logits)
         p = ez / ez.sum(axis=1, keepdims=True)
         grad = (p - onehot).T @ features / n
-        w -= learning_rate * grad
+        w -= 0.5 * grad
 
     dw = w[0] - w[1]
     if abs(dw[0]) < 1e-12:
@@ -300,14 +287,14 @@ def boundary_bias_demo(
     optimal = 0.5 * (mean_maj + mean_min)
     tau_maj = majority_count / n
     tau_min = minority_count / n
-    bayes = optimal + std * std * math.log(tau_maj / tau_min) / (mean_min - mean_maj)
+    bayes = optimal + math.log(tau_maj / tau_min) / (mean_min - mean_maj)
     return BoundaryBiasReport(
         learned_threshold=float(learned),
         optimal_threshold=float(optimal),
         bayes_threshold=float(bayes),
         displaced_toward_minority=bool((learned - optimal) * (mean_min - optimal) > 0),
-        balanced_error_learned=balanced_gaussian_error(learned, mean_maj, mean_min, std),
-        balanced_error_optimal=balanced_gaussian_error(optimal, mean_maj, mean_min, std),
+        balanced_error_learned=balanced_gaussian_error(learned, mean_maj, mean_min),
+        balanced_error_optimal=balanced_gaussian_error(optimal, mean_maj, mean_min),
         majority_mean=mean_maj,
         minority_mean=mean_min,
         majority_count=majority_count,

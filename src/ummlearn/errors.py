@@ -13,10 +13,6 @@ class LabelError(ValueError):
     """A class label is out of range or malformed."""
 
 
-class DomainError(ValueError):
-    """A function argument lies outside the function's mathematical domain."""
-
-
 class DegenerateNormError(ValueError):
     """A vector that must have nonzero length is numerically zero."""
 

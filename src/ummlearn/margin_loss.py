@@ -21,13 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    DegenerateNormError,
-    DimensionError,
-    DomainError,
-    LabelError,
-    ParameterError,
-)
+from .errors import DegenerateNormError, DimensionError, LabelError, ParameterError
 from .numerics import M_MAX, DenseMatrix, as_matrix, as_vector, chebyshev, log_sum_exp_rows
 
 # Keep cos(alpha) strictly inside (-1, 1); at the poles the angular
@@ -36,9 +30,6 @@ _COS_CLIP = 1.0 - 1e-12
 # A weight row shorter than this signals degenerate training and raises; a
 # feature row shorter than this takes the plain softmax loss.
 NORM_FLOOR = 1e-10
-
-ANGULAR_VARIANT_I_DEFAULT_A = 2.0
-ANGULAR_VARIANT_II_DEFAULT_A = 3.0
 
 
 @dataclass
@@ -147,27 +138,15 @@ def softmax_loss(state: ClassifierState, features, labels) -> LossResult:
 def _psi(c: np.ndarray, m) -> tuple[np.ndarray, np.ndarray]:
     """psi as a function of c = cos(alpha): ((-1)^r T_m(c) - 2r, its d/dc).
 
-    The segment index r = floor(m*alpha/pi) comes from arccos(c) and is
-    clamped to m-1 at alpha = pi.
+    psi(alpha) = (-1)^r cos(m*alpha) - 2r is the piecewise angular margin
+    transform. The segment index r = floor(m*alpha/pi) comes from arccos(c)
+    and is clamped to m-1 at alpha = pi, so the endpoint stays inside the
+    last segment. For m = 1 this is exactly cos(alpha).
     """
     t_val, t_der = chebyshev(c, m)  # also checks m
     r = np.minimum(np.floor(m * np.arccos(c) / np.pi), m - 1)
     sign = 1.0 - 2.0 * (r % 2)
     return sign * t_val - 2.0 * r, sign * t_der
-
-
-def psi(alpha, m):
-    """Piecewise angular margin transform (-1)^r cos(m*alpha) - 2r.
-
-    ``r = floor(m*alpha/pi)`` indexes the monotone segment; at alpha = pi it
-    is clamped to m-1 so the endpoint stays inside the last segment. For
-    m = 1 this is exactly cos(alpha). Elementwise, through the transform the
-    margin losses apply to cos(alpha).
-    """
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if not np.all((0.0 <= alpha) & (alpha <= math.pi)):
-        raise DomainError(f"alpha must lie in [0, pi], got {alpha!r}")
-    return _psi(np.cos(alpha), m)[0][()]
 
 
 def class_margin_from_uncertainty(u: float) -> int:
@@ -283,55 +262,28 @@ def uncertainty_weighted_margin_loss(
 
 
 def _variant_i(c, a: float) -> tuple[np.ndarray, np.ndarray]:
+    """Rescaled cosine sqrt((1+a)/(a(1+(1-c^2)a))) * c and its d/dc; a = 2
+    tracks the normalized triangle wave in the angle."""
     d = a * (1.0 + (1.0 - c * c) * a)
     k = np.sqrt((1.0 + a) / d)
     return k * c, k * (1.0 + a * a * c * c / d)
 
 
 def _variant_ii(c, a: float) -> tuple[np.ndarray, np.ndarray]:
+    """Half-angle remap -cos(a sqrt((1+c)/2)) and its d/dc; a = 3 emphasizes
+    misaligned pairs."""
     u = np.sqrt((1.0 + c) / 2.0)  # >= sqrt(5e-13) after cos clipping
     return -np.cos(a * u), a * np.sin(a * u) / (4.0 * u)
 
 
-_VARIANTS = {
-    "i": (_variant_i, ANGULAR_VARIANT_I_DEFAULT_A),
-    "ii": (_variant_ii, ANGULAR_VARIANT_II_DEFAULT_A),
-}
+# angular-loss variant -> (transform of cos(alpha), its fixed shape parameter a)
+_VARIANTS = {"i": (_variant_i, 2.0), "ii": (_variant_ii, 3.0)}
 
 
-def _check_cos(cos_theta) -> np.ndarray:
-    c = np.asarray(cos_theta, dtype=np.float64)
-    if not np.all(np.abs(c) <= 1.0):
-        raise DomainError(f"cos_theta must lie in [-1, 1], got {cos_theta!r}")
-    return c
-
-
-def _check_a(a) -> float:
-    if not a > 0:
-        raise ParameterError(f"a must be positive, got {a!r}")
-    return float(a)
-
-
-def angular_variant_i(cos_theta, a: float = ANGULAR_VARIANT_I_DEFAULT_A):
-    """Rescaled cosine sqrt((1+a)/(a(1+(1-c^2)a))) * c; a = 2 tracks the
-    normalized triangle wave in the angle. Elementwise."""
-    return _variant_i(_check_cos(cos_theta), _check_a(a))[0][()]
-
-
-def angular_variant_ii(cos_theta, a: float = ANGULAR_VARIANT_II_DEFAULT_A):
-    """Half-angle remap -cos(a * sqrt((1+c)/2)); a = 3 emphasizes misaligned pairs.
-    Elementwise."""
-    with np.errstate(divide="ignore", invalid="ignore"):  # the unused slope is singular at c = -1
-        return _variant_ii(_check_cos(cos_theta), _check_a(a))[0][()]
-
-
-def angular_margin_loss(
-    state: ClassifierState, features, labels, variant: str = "i", a: float | None = None
-) -> LossResult:
+def angular_margin_loss(state: ClassifierState, features, labels, variant: str = "i") -> LossResult:
     """Softmax loss with the true-class cosine remapped by an angular variant."""
     if variant not in _VARIANTS:
         raise ParameterError(f"unknown angular variant {variant!r}")
-    transform, default_a = _VARIANTS[variant]
-    a = _check_a(default_a if a is None else a)
+    transform, a = _VARIANTS[variant]
     feats, labs = _check_batch(state, features, labels)
     return _true_class_loss(state, feats, labs, lambda c: transform(c, a))

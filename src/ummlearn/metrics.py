@@ -32,16 +32,12 @@ class ConfusionCounts:
         for arr, name in ((t, "y_true"), (p, "y_pred")):
             if arr.min() < 0 or arr.max() >= n_classes:
                 raise LabelError(f"{name} contains labels outside [0, {n_classes})")
-        tp = np.zeros(n_classes, dtype=np.int64)
-        fp = np.zeros(n_classes, dtype=np.int64)
-        fn = np.zeros(n_classes, dtype=np.int64)
-        total = t.size
-        for k in range(n_classes):
-            tp[k] = np.sum((t == k) & (p == k))
-            fp[k] = np.sum((t != k) & (p == k))
-            fn[k] = np.sum((t == k) & (p != k))
-        tn = total - tp - fp - fn
-        return cls(tp=tp, fp=fp, fn=fn, tn=tn)
+        # confusion matrix: row = true class, column = predicted class
+        cm = np.bincount(t * n_classes + p, minlength=n_classes * n_classes).reshape(n_classes, -1)
+        tp = cm.diagonal().astype(np.int64)
+        fp = cm.sum(axis=0) - tp
+        fn = cm.sum(axis=1) - tp
+        return cls(tp=tp, fp=fp, fn=fn, tn=t.size - tp - fp - fn)
 
     @property
     def n_classes(self) -> int:
@@ -106,14 +102,14 @@ def g_mean(counts: ConfusionCounts) -> float:
     return float(np.exp(np.mean(np.log(recall))))
 
 
-def iba(counts: ConfusionCounts, alpha: float = 0.1) -> float:
+def iba(counts: ConfusionCounts) -> float:
     """Index of balanced accuracy, macro-averaged one-vs-rest.
 
-    Per class: (1 + alpha (TPR - TNR)) * TPR * TNR, the dominance-weighted
-    squared G-mean of the binary view.
+    Per class: (1 + alpha (TPR - TNR)) * TPR * TNR with alpha = 0.1, the
+    dominance-weighted squared G-mean of the binary view.
     """
     tpr = _safe_divide(counts.tp.astype(np.float64), counts.n_positive, "tpr")
     tnr = _safe_divide(counts.tn.astype(np.float64), counts.n_negative, "tnr")
-    per_class = (1.0 + alpha * (tpr - tnr)) * tpr * tnr
+    per_class = (1.0 + 0.1 * (tpr - tnr)) * tpr * tnr
     return float(per_class.mean())
 

@@ -46,7 +46,6 @@ from .margin_loss import (
 from .numerics import M_MAX
 from .seeding import stream_rng
 from .uncertainty import (
-    EnsembleConfig,
     class_uncertainty,
     error_moments,
     misclassification_ccdf,
@@ -307,11 +306,6 @@ class RunConfig:
                 key = name.replace("_", ".", 1)
                 raise ConfigurationError(f"{key} must {rule}, got {getattr(self, name)!r}")
 
-    @property
-    def ensemble(self) -> EnsembleConfig:
-        """The dropout ensemble that the ``ensemble`` keys describe."""
-        return EnsembleConfig(self.ensemble_passes, self.ensemble_dropout, self.ensemble_tau)
-
 
 @dataclass
 class EpochRecord:
@@ -324,33 +318,34 @@ class EpochRecord:
     recalls: np.ndarray
 
 
-def softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max subtraction."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+def _own_class_probability(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Each row's softmax probability of its own class, with max subtraction."""
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return e[np.arange(labels.size), labels] / e.sum(axis=1)
 
 
 def ensemble_class_uncertainty(
-    model: MlpModel, dataset: Dataset, cfg: EnsembleConfig, mask_seed: int
+    model: MlpModel, dataset: Dataset, cfg: RunConfig, mask_seed: int
 ) -> np.ndarray:
-    """Per-class uncertainty from an N-pass dropout ensemble over the dataset.
+    """Per-class uncertainty from the dropout ensemble that ``cfg.ensemble_*`` describe.
 
-    Each pass applies one sampled sub-network to every input. The ensemble
+    Each of the ``ensemble.passes`` passes applies one sampled sub-network,
+    with keep-probability ``ensemble.dropout``, to every input. The ensemble
     outputs are the predictive probabilities (softmax of the logits). A
     sample's uncertainty is the variance across passes of its own-class
-    probability plus the 1/tau floor: it vanishes, down to the floor, for
-    samples the model is consistently sure about and peaks where sub-networks
-    disagree, which is what makes the per-class average track class rarity.
+    probability plus the 1/``ensemble.tau`` floor: it vanishes, down to the
+    floor, for samples the model is consistently sure about and peaks where
+    sub-networks disagree, which is what makes the per-class average track
+    class rarity.
     """
-    rows, labels = np.arange(dataset.n_samples), dataset.labels
+    labels = dataset.labels
     passes = _ensemble_passes(model, dataset.features, cfg, mask_seed)
-    own = np.stack([softmax_rows(cache.logits)[rows, labels] for cache in passes])
+    own = np.stack([_own_class_probability(cache.logits, labels) for cache in passes])
     _, variance = sample_feature_moments(own)
-    return class_uncertainty(variance + 1.0 / cfg.precision, labels, dataset.n_classes)
+    return class_uncertainty(variance + 1.0 / cfg.ensemble_tau, labels, dataset.n_classes)
 
 
-def _ensemble_passes(model: MlpModel, x: np.ndarray, ens: EnsembleConfig, seed: int):
+def _ensemble_passes(model: MlpModel, x: np.ndarray, cfg: RunConfig, seed: int):
     """Yield the forward pass of each dropout sub-network over ``x``, one at a time.
 
     Passes are made lazily, so a caller that reduces each one as it arrives
@@ -359,8 +354,9 @@ def _ensemble_passes(model: MlpModel, x: np.ndarray, ens: EnsembleConfig, seed: 
     widths = model.layer_widths
     if not widths:
         raise ConfigurationError("dropout ensembles need at least one hidden layer")
-    for masks in sample_dropout_masks(ens, widths, seed):
-        yield forward(model, x, masks, ens.dropout_rate)
+    keep = cfg.ensemble_dropout
+    for masks in sample_dropout_masks(cfg.ensemble_passes, keep, widths, seed):
+        yield forward(model, x, masks, keep)
 
 
 def _refresh_margins(model: MlpModel, dataset: Dataset, cfg: RunConfig, rng: np.random.Generator) -> None:
@@ -368,7 +364,7 @@ def _refresh_margins(model: MlpModel, dataset: Dataset, cfg: RunConfig, rng: np.
     # the floor-based margin map expects, so a configurable gain is applied
     # before the map; zero uncertainty still yields margin 1.
     seed = int(rng.integers(0, 2**63))
-    u = ensemble_class_uncertainty(model, dataset, cfg.ensemble, seed)
+    u = ensemble_class_uncertainty(model, dataset, cfg, seed)
     model.classifier.class_uncertainty = u
     model.classifier.margins = np.array(
         [class_margin_from_uncertainty(cfg.train_uncertainty_scale * float(v)) for v in u],
@@ -399,7 +395,7 @@ def _batch_ccdfs(
     model: MlpModel, xb: np.ndarray, yb: np.ndarray, cfg: RunConfig, rng: np.random.Generator
 ) -> np.ndarray:
     """Per-sample misclassification probabilities from ensemble feature moments."""
-    passes = _ensemble_passes(model, xb, cfg.ensemble, int(rng.integers(0, 2**63)))
+    passes = _ensemble_passes(model, xb, cfg, int(rng.integers(0, 2**63)))
     feats = np.stack([cache.feature for cache in passes], axis=1)
     state = model.classifier
     mu_f, sigma_f = sample_feature_moments(feats)
@@ -568,9 +564,10 @@ def save_model(model: MlpModel, path) -> None:
 def load_model(path) -> MlpModel:
     """Inverse of ``save_model``.
 
-    A file that is not an .npz archive, lacks an array, or stores shapes that
-    do not chain from the input through the hidden layers into the classifier
-    raises ``ConfigurationError`` naming the file and the array.
+    A file that is not an .npz archive, lacks an array, stores a hidden layer
+    with no units, or stores shapes that do not chain from the input through
+    the hidden layers into the classifier raises ``ConfigurationError``
+    naming the file and the array.
     """
     try:
         archive = np.load(path)
@@ -597,6 +594,8 @@ def load_model(path) -> MlpModel:
     fan_in = weights[0].shape[1] if weights else head.shape[1]
     expected = []  # (name, stored shape, shape that chains)
     for i, (w, b) in enumerate(zip(weights, biases)):
+        if w.shape[0] == 0:
+            raise ConfigurationError(f"{path}: hidden_w{i} has shape {w.shape}, a layer with no units")
         expected += [
             (f"hidden_w{i}", w.shape, (w.shape[0], fan_in)),
             (f"hidden_b{i}", b.shape, w.shape[:1]),

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, ParameterError
+from .errors import DimensionError, ParameterError
 
 DenseVector = np.ndarray
 DenseMatrix = np.ndarray
@@ -47,6 +47,8 @@ def chebyshev(x, m) -> tuple[np.ndarray, np.ndarray]:
     Elementwise in ``x`` and in the integer degree ``m`` (a scalar or one
     per element, 1 <= m <= M_MAX). Uses the three-term recurrence
     T_0 = 1, T_1 = x, T_k = 2 x T_{k-1} - T_{k-2}, differentiated alongside.
+    T_m(cos alpha) = cos(m alpha), and the polynomial keeps it differentiable
+    in cos(alpha) everywhere, unlike the arccos route.
     """
     x = np.asarray(x, dtype=np.float64)
     m = np.asarray(m)
@@ -57,19 +59,6 @@ def chebyshev(x, m) -> tuple[np.ndarray, np.ndarray]:
         t.append(2.0 * x * t[-1] - t[-2])
         d.append(2.0 * t[-2] + 2.0 * x * d[-1] - d[-2])
     return np.choose(m, t), np.choose(m, d)
-
-
-def cos_m_theta(cos_alpha, m):
-    """cos(m * arccos(cos_alpha)) evaluated as the Chebyshev polynomial T_m.
-
-    Polynomial evaluation keeps the expression differentiable in
-    ``cos_alpha`` everywhere, unlike the arccos route. Elementwise; a scalar
-    input gives a scalar.
-    """
-    c = np.asarray(cos_alpha, dtype=np.float64)
-    if not np.all(np.abs(c) <= 1.0):
-        raise DomainError(f"cos_alpha must lie in [-1, 1], got {cos_alpha!r}")
-    return chebyshev(c, m)[0][()]
 
 
 def log_sum_exp_rows(values: DenseMatrix) -> DenseVector:

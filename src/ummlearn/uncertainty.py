@@ -1,9 +1,12 @@
 """Dropout-ensemble predictive moments and misclassification probabilities.
 
-An N-member ensemble is formed by running the same network under N
-independent Bernoulli keep-masks. A sample's uncertainty is the variance
-across the passes of its own-class output, plus the precision floor; the
-class uncertainty averages it over each class. At the sample level, features
+An N-member ensemble (N = ``ensemble.passes``, at least 2) is formed by
+running the same network under N independent Bernoulli keep-masks. Each unit
+stays active with the keep-probability ``ensemble.dropout`` and kept
+activations are scaled by its inverse, so the keep-probability -> 1 limit is
+the deterministic network. A sample's uncertainty is the variance across the
+passes of its own-class output, plus the floor 1/``ensemble.tau``; the class
+uncertainty averages it over each class. At the sample level, features
 are modeled as a diagonal Gaussian whose moments feed a closed-form
 misclassification probability.
 """
@@ -12,7 +15,6 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,48 +26,21 @@ logger = logging.getLogger(__name__)
 _erf = np.vectorize(math.erf, otypes=[np.float64])
 
 
-@dataclass(frozen=True)
-class EnsembleConfig:
-    """Monte-Carlo dropout ensemble parameters.
-
-    dropout_rate is the keep-probability: each unit stays active with this
-    probability and kept activations are scaled by its inverse, so the
-    rate -> 1 limit is the deterministic network. precision is tau; its
-    inverse is the variance floor added to every sample's own-class variance.
-    A variance needs at least two passes.
-    """
-
-    n_passes: int = 10
-    dropout_rate: float = 0.5
-    precision: float = 100.0
-
-    def __post_init__(self):
-        if self.n_passes < 2:
-            raise ConfigurationError(f"n_passes must be at least 2, got {self.n_passes!r}")
-        if not 0.0 < self.dropout_rate < 1.0:
-            raise ConfigurationError(
-                f"dropout_rate must lie in (0, 1), got {self.dropout_rate!r}"
-            )
-        if self.precision <= 0:
-            raise ConfigurationError(f"precision must be positive, got {self.precision!r}")
-
-
 def sample_dropout_masks(
-    cfg: EnsembleConfig, layer_widths, rng_seed: int
+    n_passes: int, keep_prob: float, layer_widths, rng_seed: int
 ) -> list[list[np.ndarray]]:
-    """N independent mask collections, one 0/1 float vector per layer.
+    """``n_passes`` independent mask collections, one 0/1 float vector per layer.
 
-    Each unit is kept independently with probability ``cfg.dropout_rate``;
-    the draw is fully determined by ``rng_seed``.
+    Each unit is kept independently with probability ``keep_prob``; the draw
+    is fully determined by ``rng_seed``.
     """
     widths = [int(w) for w in layer_widths]
     if any(w <= 0 for w in widths):
         raise ParameterError(f"layer widths must be positive, got {widths!r}")
     rng = np.random.default_rng(rng_seed)
-    p = cfg.dropout_rate
     return [
-        [(rng.random(w) < p).astype(np.float64) for w in widths]
-        for _ in range(cfg.n_passes)
+        [(rng.random(w) < keep_prob).astype(np.float64) for w in widths]
+        for _ in range(n_passes)
     ]
 
 

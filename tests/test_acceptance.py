@@ -29,9 +29,9 @@ from ummlearn.data import (
 from ummlearn.gradcheck import central_difference, relative_errors
 from ummlearn.margin_loss import (
     ClassifierState,
+    _psi,
     angular_margin_loss,
     large_margin_softmax_loss,
-    psi,
     softmax_loss,
     uncertainty_weighted_margin_loss,
 )
@@ -43,10 +43,9 @@ from ummlearn.network import (
     forward,
     train,
 )
-from ummlearn.numerics import cos_m_theta
+from ummlearn.numerics import chebyshev
 from ummlearn.seeding import stream_rng, stream_seed
 from ummlearn.uncertainty import (
-    EnsembleConfig,
     class_uncertainty,
     misclassification_ccdf,
     sample_feature_moments,
@@ -268,7 +267,7 @@ class TestCriterion3ChebyshevIdentity:
         rng = np.random.default_rng(3003)
         alphas = rng.uniform(0.0, math.pi, 1000)
         worst = max(
-            np.max(np.abs(cos_m_theta(np.cos(alphas), m) - np.cos(m * alphas)))
+            np.max(np.abs(chebyshev(np.cos(alphas), m)[0] - np.cos(m * alphas)))
             for m in range(1, 7)
         )
         ok = worst < 1e-9
@@ -281,7 +280,7 @@ class TestCriterion4PsiProperties:
         grid = np.linspace(0.0, math.pi, 10_000)
         monotone = True
         for m in range(1, 7):
-            vals = psi(grid, m)
+            vals = _psi(np.cos(grid), m)[0]
             if not np.all(np.diff(vals) <= 1e-12):
                 monotone = False
         continuous = True
@@ -290,7 +289,7 @@ class TestCriterion4PsiProperties:
         for m in range(2, 7):
             for r in range(1, m):
                 edge = r * math.pi / m
-                jump = abs(psi(edge - eps, m) - psi(edge + eps, m))
+                jump = abs(_psi(np.cos(edge - eps), m)[0] - _psi(np.cos(edge + eps), m)[0])
                 worst_jump = max(worst_jump, jump)
                 if jump >= 1e-9:
                     continuous = False
@@ -302,10 +301,10 @@ class TestCriterion4PsiProperties:
 
 class TestCriterion5UncertaintyFloor:
     def test_floor_and_ccdf(self):
-        cfg = EnsembleConfig(n_passes=8, precision=100.0)
+        tau = RunConfig().ensemble_tau
         stack = np.tile([0.5, -0.25, 1.0], (8, 1))  # dyadic values, exact sums
         _, variance = sample_feature_moments(stack)  # column k: own class k
-        u = class_uncertainty(variance + 1.0 / cfg.precision, [0, 1, 2], 3)
+        u = class_uncertainty(variance + 1.0 / tau, [0, 1, 2], 3)
         floor_exact = np.array_equal(u, np.full(3, 1.0 / 100.0))
 
         centered = misclassification_ccdf(0.0, 1.0) == 0.5
@@ -339,7 +338,7 @@ class TestCriterion6UncertaintyRarity:
             )
             model, _ = train(model, ds, cfg)
             u = ensemble_class_uncertainty(
-                model, ds, EnsembleConfig(n_passes=40), stream_seed(seed, "probe")
+                model, ds, RunConfig(ensemble_passes=40), stream_seed(seed, "probe")
             )
             rhos.append(spearman(ds.class_frequencies, u))
         hits = sum(1 for r in rhos if r < -0.5)

@@ -306,6 +306,16 @@ class TestReportingCommands:
         err = capsys.readouterr().err
         assert str(model) in err and name in err
 
+    @pytest.mark.parametrize("command", ["eval", "uncertainty"])
+    def test_model_zero_width_layer_exit_code_2(self, command, run_dir, tmp_path, capsys):
+        # shapes that chain, through a hidden layer with no units
+        model = tmp_path / "broken.npz"
+        self.write_model(model, run_dir, hidden_w0=np.ones((0, 2)), hidden_b0=np.ones(0),
+                         hidden_w1=np.ones((8, 0)))
+        assert main([command, "--model", str(model), "--data", str(run_dir / "test.csv")]) == 2
+        err = capsys.readouterr().err
+        assert str(model) in err and "hidden_w0" in err
+
     def test_model_not_an_npz_exit_code_2(self, run_dir, tmp_path, capsys):
         model = tmp_path / "model.npz"
         model.write_text("not an archive\n")
@@ -318,6 +328,16 @@ class TestReportingCommands:
             out = capsys.readouterr().out
             assert code == 0
             assert "PASS" in out
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [("bias-demo", "--ratio", v) for v in ("nan", "inf", "0.5")]
+        + [("gradcheck", "--tolerance", v) for v in ("nan", "-1", "inf")],
+    )
+    def test_bad_argument_exit_code_2(self, command, flag, value, capsys):
+        assert main([command, flag, value]) == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err and captured.out == ""
 
     def test_bias_demo_command(self, capsys):
         code = main(["bias-demo", "--ratio", "10", "--seed", "1"])
@@ -398,13 +418,12 @@ class TestSmoke:
         import numpy as np
 
         from ummlearn.data import gaussian_blobs, two_class_blob_specs
-        from ummlearn.network import MlpModel, ensemble_class_uncertainty
+        from ummlearn.network import MlpModel, RunConfig, ensemble_class_uncertainty
         from ummlearn.seeding import stream_rng, stream_seed
-        from ummlearn.uncertainty import EnsembleConfig
 
         ds = gaussian_blobs(two_class_blob_specs(80, 80), seed=stream_seed(0, "data"))
         model = MlpModel.init(2, (16, 16), 2, stream_rng(0, "init"))
-        u = ensemble_class_uncertainty(model, ds, EnsembleConfig(n_passes=20), 7)
+        u = ensemble_class_uncertainty(model, ds, RunConfig(ensemble_passes=20), 7)
         assert np.max(u) <= 2.0 * np.min(u)
 
     def test_default_config_train_under_sixty_seconds(self, tmp_path):

@@ -12,22 +12,16 @@ from helpers import (
     random_batch_instance,
     random_classifier_instance,
 )
-from ummlearn.errors import (
-    DegenerateNormError,
-    DimensionError,
-    DomainError,
-    LabelError,
-    ParameterError,
-)
+from ummlearn.errors import DegenerateNormError, DimensionError, LabelError, ParameterError
 from ummlearn.gradcheck import central_difference, check, relative_errors
 from ummlearn.margin_loss import (
     ClassifierState,
+    _psi,
+    _variant_i,
+    _variant_ii,
     angular_margin_loss,
-    angular_variant_i,
-    angular_variant_ii,
     class_margin_from_uncertainty,
     large_margin_softmax_loss,
-    psi,
     softmax_loss,
     uncertainty_weighted_margin_loss,
 )
@@ -72,24 +66,24 @@ class TestSoftmaxLoss:
 class TestPsi:
     def test_alpha_zero(self):
         for m in range(1, M_MAX + 1):
-            assert psi(0.0, m) == pytest.approx(1.0, abs=1e-12)
+            assert _psi(np.cos(0.0), m)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_alpha_pi_frozen(self):
         # last-segment evaluation gives -(2m - 1); verified against the
         # left limit below
         for m in range(1, M_MAX + 1):
-            assert psi(math.pi, m) == pytest.approx(-(2 * m - 1), abs=1e-9)
-            assert psi(math.pi - 1e-9, m) == pytest.approx(-(2 * m - 1), abs=1e-6)
+            assert _psi(np.cos(math.pi), m)[0] == pytest.approx(-(2 * m - 1), abs=1e-9)
+            assert _psi(np.cos(math.pi - 1e-9), m)[0] == pytest.approx(-(2 * m - 1), abs=1e-6)
 
     def test_m1_reduces_to_cos(self):
         rng = np.random.default_rng(4)
         for a in rng.uniform(0, math.pi, 50):
-            assert psi(float(a), 1) == pytest.approx(math.cos(a), abs=1e-12)
+            assert _psi(np.cos(a), 1)[0] == pytest.approx(math.cos(a), abs=1e-12)
 
     def test_monotone_decreasing(self):
         grid = np.linspace(0.0, math.pi, 10_000)
         for m in range(1, M_MAX + 1):
-            vals = psi(grid, m)
+            vals = _psi(np.cos(grid), m)[0]
             assert np.all(np.diff(vals) <= 1e-12)
 
     def test_segment_continuity(self):
@@ -97,15 +91,9 @@ class TestPsi:
         for m in range(2, M_MAX + 1):
             for r in range(1, m):
                 edge = r * math.pi / m
-                left = psi(edge - eps, m)
-                right = psi(edge + eps, m)
+                left = _psi(np.cos(edge - eps), m)[0]
+                right = _psi(np.cos(edge + eps), m)[0]
                 assert abs(left - right) < 1e-9
-
-    def test_domain_error(self):
-        with pytest.raises(DomainError):
-            psi(-0.1, 2)
-        with pytest.raises(DomainError):
-            psi(math.pi + 0.1, 2)
 
 
 class TestClassMargin:
@@ -234,40 +222,35 @@ class TestUncertaintyWeightedLoss:
 
 class TestAngularVariants:
     def test_variant_i_zero(self):
-        assert angular_variant_i(0.0, 2.0) == 0.0
+        assert _variant_i(0.0, 2.0)[0] == 0.0
 
     def test_variant_i_at_one_frozen(self):
         # direct substitution: sqrt((1+2)/(2*(1+0))) = sqrt(3/2)
-        assert angular_variant_i(1.0, 2.0) == pytest.approx(math.sqrt(1.5), abs=1e-12)
+        assert _variant_i(1.0, 2.0)[0] == pytest.approx(math.sqrt(1.5), abs=1e-12)
 
     def test_variant_i_odd(self):
         rng = np.random.default_rng(15)
         for x in rng.uniform(0, 1, 50):
             for a in (0.5, 2.0, 3.0):
-                assert angular_variant_i(float(-x), a) == pytest.approx(
-                    -angular_variant_i(float(x), a), abs=1e-15
-                )
+                assert _variant_i(-x, a)[0] == pytest.approx(-_variant_i(x, a)[0], abs=1e-15)
 
     def test_variant_i_triangle_deviation_frozen(self):
         theta = np.linspace(0.0, math.pi, 100_001)
         tri = 1.0 - 2.0 * theta / math.pi
-        dev = np.max(np.abs(angular_variant_i(np.cos(theta), 2.0) - tri))
+        dev = np.max(np.abs(_variant_i(np.cos(theta), 2.0)[0] - tri))
         assert dev == pytest.approx(TRIANGLE_DEVIATION_ORACLE, abs=1e-9)
 
+    # the slope of variant ii, unused here, is 0/0 at c = -1
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_variant_ii_endpoints_frozen(self):
-        assert angular_variant_ii(-1.0, 3.0) == pytest.approx(-1.0, abs=1e-12)
-        assert angular_variant_ii(1.0, 3.0) == pytest.approx(-math.cos(3.0), abs=1e-12)
+        assert _variant_ii(-1.0, 3.0)[0] == pytest.approx(-1.0, abs=1e-12)
+        assert _variant_ii(1.0, 3.0)[0] == pytest.approx(-math.cos(3.0), abs=1e-12)
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_variant_ii_monotone_grid_scan(self):
         grid = np.linspace(-1.0, 1.0, 20_001)
-        vals = angular_variant_ii(grid, 3.0)
+        vals = _variant_ii(grid, 3.0)[0]
         assert np.all(np.diff(vals) > 0)
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            angular_variant_i(1.5, 2.0)
-        with pytest.raises(ParameterError):
-            angular_variant_ii(0.0, -1.0)
 
 
 class TestAngularMarginLoss:

@@ -26,6 +26,24 @@ class TestConfusionCounts:
         for k in range(4):
             assert c.tp[k] + c.fp[k] + c.fn[k] + c.tn[k] == 50
 
+    def test_matches_per_class_loop(self):
+        # the confusion-matrix counts equal three masked sums per class,
+        # with class 5 absent from both arrays
+        rng = np.random.default_rng(11)
+        for n in (1, 7, 50, 400):
+            t = rng.choice([0, 1, 2, 3, 4, 6], n)
+            p = rng.choice([0, 1, 2, 3, 4, 6], n)
+            c = ConfusionCounts.from_predictions(t, p, 7)
+            for name, expected in (
+                ("tp", [np.sum((t == k) & (p == k)) for k in range(7)]),
+                ("fp", [np.sum((t != k) & (p == k)) for k in range(7)]),
+                ("fn", [np.sum((t == k) & (p != k)) for k in range(7)]),
+            ):
+                got = getattr(c, name)
+                assert got.dtype == np.int64
+                np.testing.assert_array_equal(got, np.array(expected, dtype=np.int64))
+            assert c.tp[5] == c.fp[5] == c.fn[5] == 0 and c.tn[5] == n
+
     def test_empty_rejected(self):
         with pytest.raises(DimensionError):
             counts_from([], [], 2)

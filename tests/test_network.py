@@ -20,7 +20,7 @@ from ummlearn.network import (
     train,
 )
 from ummlearn.seeding import stream_rng, stream_seed
-from ummlearn.uncertainty import EnsembleConfig, sample_dropout_masks
+from ummlearn.uncertainty import sample_dropout_masks
 
 
 def small_model(seed=0, hidden=(8, 8), d=2, c=3):
@@ -269,8 +269,7 @@ class TestTrain:
 class TestDropoutPlumbing:
     def test_ensemble_masks_shared_across_batch(self):
         model = small_model(9)
-        cfg = EnsembleConfig(n_passes=2, dropout_rate=0.5)
-        masks = sample_dropout_masks(cfg, model.layer_widths, rng_seed=5)
+        masks = sample_dropout_masks(2, 0.5, model.layer_widths, rng_seed=5)
         x = np.ones((6, 2))
         out = forward(model, x, masks[0], 0.5)
         # one sub-network per pass: identical inputs give identical rows

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from ummlearn.errors import DimensionError, DomainError, ParameterError
-from ummlearn.numerics import M_MAX, chebyshev, cos_m_theta, log_sum_exp_rows
+from ummlearn.errors import DimensionError, ParameterError
+from ummlearn.numerics import M_MAX, chebyshev, log_sum_exp_rows
 from ummlearn.uncertainty import misclassification_ccdf
 
 
@@ -54,21 +54,21 @@ class TestErf:
 class TestCosMTheta:
     def test_identity_m1(self):
         for x in np.linspace(-1, 1, 21):
-            assert cos_m_theta(float(x), 1) == float(x)
+            assert chebyshev(x, 1)[0] == x
 
     def test_double_angle_frozen(self):
         # cos(2 arccos 0.5) = cos(2 pi / 3) = -0.5
-        assert cos_m_theta(0.5, 2) == pytest.approx(-0.5, abs=1e-12)
+        assert chebyshev(0.5, 2)[0] == pytest.approx(-0.5, abs=1e-12)
 
     def test_alpha_zero_all_m(self):
         for m in range(1, M_MAX + 1):
-            assert cos_m_theta(1.0, m) == pytest.approx(1.0, abs=1e-12)
+            assert chebyshev(1.0, m)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_chebyshev_equals_trig(self):
         rng = np.random.default_rng(3)
         alphas = rng.uniform(0.0, math.pi, 1000)
         worst = max(
-            np.max(np.abs(cos_m_theta(np.cos(alphas), m) - np.cos(m * alphas)))
+            np.max(np.abs(chebyshev(np.cos(alphas), m)[0] - np.cos(m * alphas)))
             for m in range(1, M_MAX + 1)
         )
         assert worst < 1e-9
@@ -78,18 +78,14 @@ class TestCosMTheta:
         for m in range(1, M_MAX + 1):
             for x in np.linspace(-0.95, 0.95, 21):
                 _, der = chebyshev(float(x), m)
-                num = (cos_m_theta(float(x) + h, m) - cos_m_theta(float(x) - h, m)) / (2 * h)
+                num = (chebyshev(x + h, m)[0] - chebyshev(x - h, m)[0]) / (2 * h)
                 assert der == pytest.approx(num, abs=1e-5)
 
     def test_m_out_of_range(self):
         with pytest.raises(ParameterError):
-            cos_m_theta(0.5, 0)
+            chebyshev(0.5, 0)
         with pytest.raises(ParameterError):
-            cos_m_theta(0.5, M_MAX + 1)
-
-    def test_cos_out_of_domain(self):
-        with pytest.raises(DomainError):
-            cos_m_theta(1.5, 2)
+            chebyshev(0.5, M_MAX + 1)
 
 
 class TestStableLogSumExp:

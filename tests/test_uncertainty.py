@@ -7,10 +7,9 @@ from helpers import normal_cdf_simpson
 from ummlearn.data import gaussian_blobs, longtail_blob_specs, two_class_blob_specs
 from ummlearn.errors import ConfigurationError, ParameterError
 from ummlearn.margin_loss import ClassifierState
-from ummlearn.network import MlpModel, ensemble_class_uncertainty
+from ummlearn.network import MlpModel, RunConfig, ensemble_class_uncertainty
 from ummlearn.seeding import stream_rng, stream_seed
 from ummlearn.uncertainty import (
-    EnsembleConfig,
     class_uncertainty,
     error_moments,
     misclassification_ccdf,
@@ -21,94 +20,91 @@ from ummlearn.uncertainty import (
 
 
 class TestEnsembleConfig:
+    """The ``ensemble.*`` keys of the run config."""
+
     def test_defaults(self):
-        cfg = EnsembleConfig()
-        assert cfg.n_passes == 10
-        assert cfg.dropout_rate == 0.5
-        assert cfg.precision == 100.0
+        cfg = RunConfig()
+        assert cfg.ensemble_passes == 10
+        assert cfg.ensemble_dropout == 0.5
+        assert cfg.ensemble_tau == 100.0
 
     def test_invalid(self):
-        with pytest.raises(ConfigurationError):
-            EnsembleConfig(n_passes=0)
-        with pytest.raises(ConfigurationError):
-            EnsembleConfig(dropout_rate=1.0)
-        with pytest.raises(ConfigurationError):
-            EnsembleConfig(precision=0.0)
+        with pytest.raises(ConfigurationError, match="ensemble.passes"):
+            RunConfig(ensemble_passes=0)
+        with pytest.raises(ConfigurationError, match="ensemble.dropout"):
+            RunConfig(ensemble_dropout=1.0)
+        with pytest.raises(ConfigurationError, match="ensemble.tau"):
+            RunConfig(ensemble_tau=0.0)
 
 
 class TestSampleDropoutMasks:
     def test_keep_probability_near_one(self):
-        cfg = EnsembleConfig(n_passes=3, dropout_rate=1 - 1e-9)
-        masks = sample_dropout_masks(cfg, [50, 30], rng_seed=1)
+        masks = sample_dropout_masks(3, 1 - 1e-9, [50, 30], rng_seed=1)
         for pass_masks in masks:
             for m in pass_masks:
                 np.testing.assert_array_equal(m, np.ones_like(m))
 
     def test_deterministic_per_seed(self):
-        cfg = EnsembleConfig(n_passes=4)
-        a = sample_dropout_masks(cfg, [10, 20], rng_seed=99)
-        b = sample_dropout_masks(cfg, [10, 20], rng_seed=99)
+        a = sample_dropout_masks(4, 0.5, [10, 20], rng_seed=99)
+        b = sample_dropout_masks(4, 0.5, [10, 20], rng_seed=99)
         for pa, pb in zip(a, b):
             for ma, mb in zip(pa, pb):
                 np.testing.assert_array_equal(ma, mb)
 
     def test_empirical_keep_fraction(self):
-        cfg = EnsembleConfig(n_passes=2, dropout_rate=0.5)
-        masks = sample_dropout_masks(cfg, [100_000], rng_seed=7)
+        masks = sample_dropout_masks(2, 0.5, [100_000], rng_seed=7)
         frac = masks[0][0].mean()
         assert abs(frac - 0.5) < 0.01
 
     def test_bad_widths(self):
         with pytest.raises(ParameterError):
-            sample_dropout_masks(EnsembleConfig(), [0], rng_seed=0)
+            sample_dropout_masks(10, 0.5, [0], rng_seed=0)
 
 
-def own_class_uncertainty(stack, cfg):
+def own_class_uncertainty(stack, tau):
     """Each column's variance across the passes of an (N, C) stack, plus 1/tau.
 
     A column is one class's output, so entry k is the uncertainty of a
     sample whose own class is k, as ``ensemble_class_uncertainty`` takes it.
     """
-    return sample_feature_moments(stack)[1] + 1.0 / cfg.precision
+    return sample_feature_moments(stack)[1] + 1.0 / tau
 
 
 class TestMcUncertainty:
     def test_identical_outputs_floor_only(self):
-        cfg = EnsembleConfig(n_passes=4, precision=100.0)
         stack = np.tile([0.3, -0.7], (4, 1))
-        np.testing.assert_allclose(own_class_uncertainty(stack, cfg), [0.01, 0.01], atol=1e-15)
+        np.testing.assert_allclose(own_class_uncertainty(stack, 100.0), [0.01, 0.01], atol=1e-15)
 
     def test_hand_second_moment(self):
-        cfg = EnsembleConfig(n_passes=2, precision=1.0)
-        u = own_class_uncertainty(np.array([[1.0, 0.0], [-1.0, 0.0]]), cfg)
+        u = own_class_uncertainty(np.array([[1.0, 0.0], [-1.0, 0.0]]), 1.0)
         np.testing.assert_allclose(u, [2.0, 1.0])
 
     def test_floor_on_diagonal_and_psd(self):
         # the own-class entries are the covariance diagonal: a variance, so
         # never negative, and the floor holds with no slack
         rng = np.random.default_rng(13)
-        cfg = EnsembleConfig(n_passes=10, precision=100.0)
+        tau = 100.0
         for _ in range(20):
             stack = rng.standard_normal((10, 5))
-            u = own_class_uncertainty(stack, cfg)
-            assert np.all(u >= 1.0 / cfg.precision)
-            np.testing.assert_allclose(u - 1.0 / cfg.precision, np.var(stack, axis=0), atol=1e-12)
+            u = own_class_uncertainty(stack, tau)
+            assert np.all(u >= 1.0 / tau)
+            np.testing.assert_allclose(u - 1.0 / tau, np.var(stack, axis=0), atol=1e-12)
 
     def test_true_class_scalar(self):
-        cfg = EnsembleConfig(n_passes=2, precision=1.0)
         stack = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        u = class_uncertainty(own_class_uncertainty(stack, cfg)[[0]], [0], 2)
+        u = class_uncertainty(own_class_uncertainty(stack, 1.0)[[0]], [0], 2)
         assert u[0] == pytest.approx(2.0)
 
     def test_single_pass_rejected(self):
+        with pytest.raises(ConfigurationError, match="ensemble.passes"):
+            RunConfig(ensemble_passes=1)
         with pytest.raises(ConfigurationError):
-            EnsembleConfig(n_passes=1)
+            sample_feature_moments(np.zeros((1, 2)))
 
 
 class TestClassUncertainty:
     def test_floor_everywhere(self):
-        cfg = EnsembleConfig(n_passes=3, precision=100.0)
-        values = [own_class_uncertainty(np.zeros((3, 2)), cfg)[0] for _ in range(4)]
+        values = [own_class_uncertainty(np.zeros((3, 2)), 100.0)[0] for _ in range(4)]
         u = class_uncertainty(values, [0, 0, 1, 1], 2)
         np.testing.assert_allclose(u, [0.01, 0.01])
 
@@ -265,7 +261,7 @@ class TestNoDropoutLimit:
         # sample's own-class variance collapses to the precision floor
         ds = gaussian_blobs(two_class_blob_specs(10, 10), seed=stream_seed(3, "data"))
         model = MlpModel.init(2, (8, 8), 2, stream_rng(3, "init"))
-        cfg = EnsembleConfig(n_passes=6, dropout_rate=1 - 1e-9, precision=100.0)
+        cfg = RunConfig(ensemble_passes=6, ensemble_dropout=1 - 1e-9, ensemble_tau=100.0)
         u = ensemble_class_uncertainty(model, ds, cfg, mask_seed=4)
         np.testing.assert_allclose(u, np.full(2, 1.0 / 100.0), atol=1e-12)
 
@@ -275,6 +271,6 @@ class TestNoDropoutLimit:
         # uncertainty with no slack, even where all the passes agree
         ds = gaussian_blobs(longtail_blob_specs(), seed=stream_seed(seed, "data-train"))
         model = MlpModel.init(2, (32, 32), 10, stream_rng(seed, "init"))
-        cfg = EnsembleConfig(n_passes=10, dropout_rate=1 - 1e-9)
+        cfg = RunConfig(ensemble_passes=10, ensemble_dropout=1 - 1e-9)
         u = ensemble_class_uncertainty(model, ds, cfg, mask_seed=7)
-        assert np.all(u >= 1.0 / cfg.precision)
+        assert np.all(u >= 1.0 / cfg.ensemble_tau)
