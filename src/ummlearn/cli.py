@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 runtime failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -411,14 +412,16 @@ def cmd_sweep(args) -> int:
     for t in losses:
         if t not in SWEEP_VARIANTS:
             raise ConfigurationError(f"unknown sweep loss token {t!r}")
+    dropout_tokens = [v.strip() for v in (args.dropouts or "").split(",") if v.strip()]
     try:
-        dropouts = (
-            [float(v) for v in args.dropouts.split(",") if v.strip()]
-            if args.dropouts
-            else [cfg.ensemble_dropout]
-        )
+        dropouts = [float(v) for v in dropout_tokens] if args.dropouts else [cfg.ensemble_dropout]
     except ValueError:
         raise ConfigurationError(f"--dropouts must list numbers, got {args.dropouts!r}") from None
+    # a repeated token would train the same runs twice and count them twice in mean/std
+    for flag, tokens, values in (("--losses", losses, losses), ("--dropouts", dropout_tokens, dropouts)):
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise ConfigurationError(f"{flag} repeats {tokens[i]!r}")
     # every run's config is built, and so checked, before the first one trains
     runs = [
         (token, p, seed, replace(cfg, seed=seed, ensemble_dropout=p, **SWEEP_VARIANTS[token]))
@@ -469,7 +472,12 @@ def _load_config(args) -> RunConfig:
     return cfg if args.seed is None else replace(cfg, seed=args.seed)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every ``main`` call.
+
+    Callers must not change it.
+    """
     parser = argparse.ArgumentParser(
         prog="ummlearn",
         description="Uncertainty-driven max-margin learning experiments.",

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -173,7 +174,13 @@ def save_csv(ds: Dataset, path) -> None:
 
 
 def load_csv(path) -> Dataset:
-    """Read a dataset written by ``save_csv``; strict header and row checks."""
+    """Read a dataset written by ``save_csv``; strict header and row checks.
+
+    The rows are read by one vectorized parse. A file that parse cannot read,
+    or whose values fail a row check, is read again row by row, which raises
+    the ``CsvFormatError`` naming the first faulty line: both paths accept the
+    same files and give the same dataset.
+    """
     path = Path(path)
     with path.open("r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -187,30 +194,61 @@ def load_csv(path) -> Dataset:
         expected = [f"f{i}" for i in range(dim)]
         if header[:-1] != expected:
             raise CsvFormatError("header must be f0,...,f{d-1},label", line=1)
-        rows = []
-        labels = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != dim + 1:
-                raise CsvFormatError(f"expected {dim + 1} fields, got {len(row)}", line=lineno)
-            try:
-                values = [float(v) for v in row[:-1]]
-            except ValueError:
-                raise CsvFormatError("malformed feature value", line=lineno) from None
-            if not all(math.isfinite(v) for v in values):
-                raise CsvFormatError("non-finite feature value", line=lineno)
-            rows.append(values)
-            try:
-                lab = int(row[-1])
-            except ValueError:
-                raise CsvFormatError(f"malformed label {row[-1]!r}", line=lineno) from None
-            if lab < 0:
-                raise CsvFormatError(f"label {lab} out of range", line=lineno)
-            labels.append(lab)
+        features, labels = _parse_table(path, dim) or _parse_rows(reader, dim)
+    return Dataset.from_arrays(features, labels)
+
+
+def _parse_table(path: Path, dim: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """(features, labels) of the rows below the header, or None to parse row by row.
+
+    One ``np.loadtxt`` pass reads float64 features and an int64 label per
+    row. It takes no quoting, comments or underscores and skips only empty
+    lines, so it accepts a subset of what the row loop accepts, with the
+    same correctly rounded values; a warning (such as numpy's deprecated
+    integer-via-float label parse, or "input contained no data") counts as
+    a rejection, and so does any value that fails a row check.
+    """
+    row = np.dtype([("features", np.float64, (dim,)), ("label", np.int64)])
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(
+                path, dtype=row, delimiter=",", comments=None, skiprows=1, ndmin=1, encoding="utf-8"
+            )
+    except (ValueError, Warning):
+        return None
+    features, labels = table["features"], table["label"]
+    if labels.size == 0 or not np.isfinite(features).all() or labels.min() < 0:
+        return None
+    return features, np.ascontiguousarray(labels)
+
+
+def _parse_rows(reader, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(features, labels) of the reader's rows after the header, checked one at a time."""
+    rows = []
+    labels = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != dim + 1:
+            raise CsvFormatError(f"expected {dim + 1} fields, got {len(row)}", line=lineno)
+        try:
+            values = [float(v) for v in row[:-1]]
+        except ValueError:
+            raise CsvFormatError("malformed feature value", line=lineno) from None
+        if not all(math.isfinite(v) for v in values):
+            raise CsvFormatError("non-finite feature value", line=lineno)
+        rows.append(values)
+        try:
+            lab = int(row[-1])
+        except ValueError:
+            raise CsvFormatError(f"malformed label {row[-1]!r}", line=lineno) from None
+        if not 0 <= lab <= np.iinfo(np.int64).max:
+            raise CsvFormatError(f"label {lab} out of range", line=lineno)
+        labels.append(lab)
     if not rows:
         raise CsvFormatError("dataset file has no data rows")
-    return Dataset.from_arrays(np.asarray(rows), np.asarray(labels))
+    return np.asarray(rows), np.asarray(labels)
 
 
 # ---------------------------------------------------------------------------

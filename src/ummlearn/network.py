@@ -142,8 +142,8 @@ class Gradients:
     classifier_weights: np.ndarray
 
 
-def forward(model: MlpModel, x, masks=None, keep_prob: float = 1.0) -> ForwardCache:
-    """Run the network; with masks, inverted dropout scales kept units by 1/keep_prob."""
+def _input_matrix(model: MlpModel, x) -> np.ndarray:
+    """``x`` as a float64 (B, input_dim) matrix; one 1-D row becomes a batch of one."""
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr[None, :]
@@ -151,6 +151,12 @@ def forward(model: MlpModel, x, masks=None, keep_prob: float = 1.0) -> ForwardCa
         raise DimensionError(
             f"input dimension {arr.shape} does not match model input {model.input_dim}"
         )
+    return arr
+
+
+def forward(model: MlpModel, x, masks=None, keep_prob: float = 1.0) -> ForwardCache:
+    """Run the network; with masks, inverted dropout scales kept units by 1/keep_prob."""
+    arr = _input_matrix(model, x)
     if masks is not None and len(masks) != len(model.hidden_weights):
         raise DimensionError("one dropout mask per hidden layer is required")
     h = arr
@@ -212,10 +218,36 @@ def sgd_step(model: MlpModel, grads: Gradients, lr: float, weight_decay: float) 
     return model
 
 
+def _passes(model: MlpModel, x, masks_per_pass, keep_prob: float = 1.0):
+    """Yield (feature, logits) of one inference pass over ``x`` per mask collection.
+
+    Each entry of ``masks_per_pass`` is one 0/1 mask per hidden layer, shared
+    by every row, or ``None`` for a dropout-free pass. Every pass writes into
+    the same buffers, one per hidden layer plus one for the logits, allocated
+    once per call: a caller that keeps a pass's arrays past the next pass
+    must copy them. The ufuncs are those of ``forward``, in the same order, so
+    each pass is bit-identical to ``forward`` with the same masks.
+    """
+    x = _input_matrix(model, x)
+    hidden = [np.empty((x.shape[0], w)) for w in model.layer_widths]
+    logits = np.empty((x.shape[0], model.n_classes))
+    for masks in masks_per_pass:
+        h = x
+        for layer, (w, b, buf) in enumerate(zip(model.hidden_weights, model.hidden_biases, hidden)):
+            np.matmul(h, w.T, out=buf)
+            buf += b
+            np.maximum(buf, 0.0, out=buf)
+            if masks is not None:
+                buf *= masks[layer] / keep_prob
+            h = buf
+        np.matmul(h, model.classifier.weights.T, out=logits)
+        yield h, logits
+
+
 def evaluate(model: MlpModel, dataset: Dataset) -> np.ndarray:
     """Dropout-free argmax predictions; ties resolve to the lowest class index."""
-    cache = forward(model, dataset.features)
-    return np.argmax(cache.logits, axis=1).astype(np.int64)
+    _, logits = next(_passes(model, dataset.features, [None]))
+    return np.argmax(logits, axis=1).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -319,9 +351,13 @@ class EpochRecord:
 
 
 def _own_class_probability(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Each row's softmax probability of its own class, with max subtraction."""
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    return e[np.arange(labels.size), labels] / e.sum(axis=1)
+    """Each row's softmax probability of its own class, with max subtraction.
+
+    Exponentiates in place: ``logits`` is overwritten.
+    """
+    logits -= logits.max(axis=1, keepdims=True)
+    np.exp(logits, out=logits)
+    return logits[np.arange(labels.size), labels] / logits.sum(axis=1)
 
 
 def ensemble_class_uncertainty(
@@ -339,24 +375,24 @@ def ensemble_class_uncertainty(
     class rarity.
     """
     labels = dataset.labels
-    passes = _ensemble_passes(model, dataset.features, cfg, mask_seed)
-    own = np.stack([_own_class_probability(cache.logits, labels) for cache in passes])
+    own = np.empty((cfg.ensemble_passes, labels.size))
+    for row, (_, logits) in zip(own, _ensemble_passes(model, dataset.features, cfg, mask_seed)):
+        row[:] = _own_class_probability(logits, labels)
     _, variance = sample_feature_moments(own)
     return class_uncertainty(variance + 1.0 / cfg.ensemble_tau, labels, dataset.n_classes)
 
 
 def _ensemble_passes(model: MlpModel, x: np.ndarray, cfg: RunConfig, seed: int):
-    """Yield the forward pass of each dropout sub-network over ``x``, one at a time.
+    """Yield (feature, logits) of each dropout sub-network over ``x``, one at a time.
 
-    Passes are made lazily, so a caller that reduces each one as it arrives
-    never holds the activations of all N passes at once.
+    The passes share their buffers (see ``_passes``), so the ensemble holds
+    one pass's activations at a time, however many passes it makes.
     """
     widths = model.layer_widths
     if not widths:
         raise ConfigurationError("dropout ensembles need at least one hidden layer")
     keep = cfg.ensemble_dropout
-    for masks in sample_dropout_masks(cfg.ensemble_passes, keep, widths, seed):
-        yield forward(model, x, masks, keep)
+    return _passes(model, x, sample_dropout_masks(cfg.ensemble_passes, keep, widths, seed), keep)
 
 
 def _refresh_margins(model: MlpModel, dataset: Dataset, cfg: RunConfig, rng: np.random.Generator) -> None:
@@ -396,7 +432,9 @@ def _batch_ccdfs(
 ) -> np.ndarray:
     """Per-sample misclassification probabilities from ensemble feature moments."""
     passes = _ensemble_passes(model, xb, cfg, int(rng.integers(0, 2**63)))
-    feats = np.stack([cache.feature for cache in passes], axis=1)
+    feats = np.empty((xb.shape[0], cfg.ensemble_passes, model.feature_dim))
+    for p, (feature, _) in enumerate(passes):
+        feats[:, p] = feature  # a copy: the next pass overwrites the shared buffer
     state = model.classifier
     mu_f, sigma_f = sample_feature_moments(feats)
     rivals = rival_class(state, mu_f, yb)

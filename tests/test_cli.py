@@ -268,7 +268,7 @@ class TestReportingCommands:
         assert self.score(command, run_dir, path) == 2
         assert "label 2, the model has 2 classes" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("label", ["-1", "x"])
+    @pytest.mark.parametrize("label", ["-1", "x", "99999999999999999999"])
     def test_bad_label_exit_code_2(self, label, run_dir, tmp_path, capsys):
         path = tmp_path / "label.csv"
         path.write_text(f"f0,f1,label\n0.5,0.5,0\n0.5,-0.5,{label}\n")
@@ -406,6 +406,26 @@ class TestSweepCommand:
         assert code == 2
         assert f"--seeds {seeds}" in capsys.readouterr().err
         assert not (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize(
+        "flag, tokens, repeated",
+        [("--losses", "softmax,umm,softmax", "softmax"), ("--dropouts", "0.5,0.7,0.50", "0.50")],
+    )
+    def test_repeated_token_exit_code_2(
+        self, flag, tokens, repeated, config_path, tmp_path, capsys, monkeypatch
+    ):
+        import ummlearn.cli
+
+        def no_training(cfg):
+            raise AssertionError("a run trained before the repeated token was rejected")
+
+        monkeypatch.setattr(ummlearn.cli, "run_training", no_training)
+        out = tmp_path / "x"
+        code = main(["sweep", "--config", str(config_path), "--out", str(out), "--seeds", "1",
+                     "--losses", "softmax", flag, tokens])
+        assert code == 2
+        assert f"{flag} repeats {repeated!r}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_loss_token(self, config_path, tmp_path, capsys):
         code = main(["sweep", "--config", str(config_path), "--out", str(tmp_path / "x"),

@@ -1,10 +1,12 @@
 """Dataset generation, subsampling, CSV round-trip, boundary-bias demo."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from ummlearn import data as data_mod
 from ummlearn.data import (
     BlobSpec,
     Dataset,
@@ -148,7 +150,7 @@ class TestCsvRoundTrip:
             load_csv(path)
         assert info.value.line == 2
 
-    @pytest.mark.parametrize("label", ["-1", "x", "1.5"])
+    @pytest.mark.parametrize("label", ["-1", "x", "1.5", "99999999999999999999"])
     def test_bad_label_reports_line(self, label, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(f"f0,label\n1.0,0\n2.0,{label}\n")
@@ -161,6 +163,109 @@ class TestCsvRoundTrip:
         path.write_text("a,b,c\n1.0,2.0,0\n")
         with pytest.raises(CsvFormatError):
             load_csv(path)
+
+
+def csv_outcome(path):
+    """What ``load_csv`` makes of ``path``: the dataset's bytes, or the error it raises.
+
+    Any warning that escapes ``load_csv`` fails the test.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            ds = load_csv(path)
+        except CsvFormatError as exc:
+            result = ("error", str(exc), exc.line)
+        else:
+            result = (
+                "dataset",
+                ds.features.tobytes(), ds.features.shape, ds.features.flags.c_contiguous,
+                ds.labels.tobytes(), ds.labels.dtype, ds.labels.shape,
+                ds.class_counts.tobytes(), ds.class_frequencies.tobytes(),
+            )
+    assert [str(w.message) for w in caught] == []
+    return result
+
+
+def row_loop_outcome(path, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(data_mod, "_parse_table", lambda path, dim: None)
+        return csv_outcome(path)
+
+
+class TestCsvFastPath:
+    """The vectorized parse gives what the row loop gives: the same dataset, bit for
+    bit, or the same error, message and line."""
+
+    @pytest.mark.parametrize(
+        "body, fast",
+        [
+            ("1.5,-2,0\n\n3,4,1\n\n", True),  # blank lines
+            ("1.5,-2,0\n   \n3,4,1\n", False),  # whitespace-only line
+            ("1.5,-2,0\n# note\n3,4,1\n", False),
+            ("1.5,-2,0\n3,4,5,1\n", False),  # extra field
+            ("1.5,-2,0\n3,1\n", False),  # missing field
+            ("1.5,-2,0,\n3,4,1,\n", False),  # trailing comma
+            ('1.5,-2,0\n"3",4,1\n', False),  # quoted field
+            ("1.5,-2,0\n1_0,4,1\n", False),
+            ("1.5,-2,0\nnan,4,1\n", False),
+            ("1.5,-2,0\n3,-inf,1\n", False),
+            ("1.5,-2,0\n3,1e400,1\n", False),
+            ("1.5,-2,0\n3,4,-1\n", False),
+            ("1.5,-2,0\n3,4,1.0\n", False),
+            ("1.5,-2,0\n3,4, 3\n", True),
+            ("1.5,-2,0\n3,4,99999999999999999999\n", False),  # overflows int64
+            ("1.5,-2,0\r\n3,4,1\r\n", True),  # CRLF
+            ("", False),  # header only
+        ],
+    )
+    def test_same_outcome_as_row_loop(self, body, fast, tmp_path, monkeypatch):
+        path = tmp_path / "case.csv"
+        path.write_bytes(("f0,f1,label\n" + body).encode())
+        assert csv_outcome(path) == row_loop_outcome(path, monkeypatch)
+        assert (data_mod._parse_table(path, 2) is not None) == fast
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_floats_take_the_fast_path(self, seed, tmp_path, monkeypatch):
+        rng = np.random.default_rng(seed)
+        n, dim = 300, int(rng.integers(1, 5))
+        values = rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-300, 300, (n, dim))
+        short = ["{:.3g}", "{:.6e}", "{!r}", "{:.0f}", "{:g}"]
+        text = ["%s,label" % ",".join(f"f{i}" for i in range(dim))]
+        for row in values.tolist():
+            fields = [
+                f"{v:.17g}" if rng.random() < 0.5 else short[rng.integers(len(short))].format(v)
+                for v in row
+            ]
+            text.append(",".join(fields) + f",{rng.integers(0, 7)}")
+        path = tmp_path / "floats.csv"
+        path.write_text("\n".join(text) + "\n")
+        assert data_mod._parse_table(path, dim) is not None
+        assert csv_outcome(path) == row_loop_outcome(path, monkeypatch)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_tricky_fields_match_row_loop(self, seed, tmp_path, monkeypatch):
+        feature_tokens = ["1", "-2.5", " 3", "3 ", "+4", ".5", "5.", "1E5", "1_0", '"1"', "",
+                          "nan", "inf", "1e400", "0x10", "1d5", "\u0663", "\x0c7", "#1", "-0"]
+        label_tokens = ["0", "2", " 3", "+1", "007", "1.0", "-1", "1e1", "x", "", "\u0663",
+                        "99999999999999999999"]
+        rng = np.random.default_rng(seed)
+        for case in range(40):
+            dim = int(rng.integers(1, 4))
+            lines = [",".join(f"f{i}" for i in range(dim)) + ",label"]
+            for _ in range(int(rng.integers(1, 6))):
+                fields = [feature_tokens[rng.integers(len(feature_tokens))] for _ in range(dim)]
+                # mostly clean rows, so that a fault often sits past the first line
+                if rng.random() < 0.6:
+                    fields = [f"{v:.17g}" for v in rng.standard_normal(dim)]
+                label = label_tokens[rng.integers(len(label_tokens))] if rng.random() < 0.4 else "1"
+                lines.append(",".join(fields + [label]))
+                if rng.random() < 0.2:
+                    lines.append("")
+            end = "\r\n" if rng.random() < 0.3 else "\n"
+            path = tmp_path / f"case{case}.csv"
+            path.write_bytes((end.join(lines) + end).encode())
+            assert csv_outcome(path) == row_loop_outcome(path, monkeypatch), lines
 
 
 class TestDataset:

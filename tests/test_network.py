@@ -11,7 +11,9 @@ from ummlearn.network import (
     Gradients,
     MlpModel,
     RunConfig,
+    _batch_ccdfs,
     backward,
+    ensemble_class_uncertainty,
     evaluate,
     forward,
     load_model,
@@ -20,7 +22,14 @@ from ummlearn.network import (
     train,
 )
 from ummlearn.seeding import stream_rng, stream_seed
-from ummlearn.uncertainty import sample_dropout_masks
+from ummlearn.uncertainty import (
+    class_uncertainty,
+    error_moments,
+    misclassification_ccdf,
+    rival_class,
+    sample_dropout_masks,
+    sample_feature_moments,
+)
 
 
 def small_model(seed=0, hidden=(8, 8), d=2, c=3):
@@ -274,6 +283,57 @@ class TestDropoutPlumbing:
         out = forward(model, x, masks[0], 0.5)
         # one sub-network per pass: identical inputs give identical rows
         np.testing.assert_allclose(out.logits, np.tile(out.logits[0], (6, 1)))
+
+
+class TestEnsembleAgainstForward:
+    """The buffer-sharing ensemble passes equal one ``forward`` call per pass, bit for bit."""
+
+    @staticmethod
+    def random_case(seed):
+        rng = np.random.default_rng([seed, 12])
+        d, c = int(rng.integers(1, 9)), int(rng.integers(2, 8))
+        widths = [int(w) for w in rng.integers(1, 97, size=rng.integers(1, 4))]
+        model = MlpModel.init(d, widths, c, rng)
+        for b in model.hidden_biases:
+            b[:] = 0.1 * rng.standard_normal(b.shape)
+        n = int(rng.integers(1, 3001)) if seed % 8 == 0 else int(rng.integers(1, 41))
+        x = 3.0 * rng.standard_normal((n, d))
+        y = rng.integers(0, c, n)
+        cfg = RunConfig(
+            ensemble_passes=int(rng.integers(2, 13)), ensemble_dropout=float(rng.uniform(0.2, 0.9))
+        )
+        return model, x, y, cfg, int(rng.integers(2**63))
+
+    @staticmethod
+    def reference_passes(model, x, cfg, seed):
+        masks = sample_dropout_masks(cfg.ensemble_passes, cfg.ensemble_dropout, model.layer_widths, seed)
+        return [forward(model, x, m, cfg.ensemble_dropout) for m in masks]
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_class_uncertainty(self, seed):
+        model, x, y, cfg, mask_seed = self.random_case(seed)
+        ds = Dataset.from_arrays(x, y, model.n_classes)
+        own = []
+        for cache in self.reference_passes(model, x, cfg, mask_seed):
+            e = np.exp(cache.logits - cache.logits.max(axis=1, keepdims=True))
+            own.append(e[np.arange(y.size), y] / e.sum(axis=1))
+        _, variance = sample_feature_moments(np.stack(own))
+        expected = class_uncertainty(variance + 1.0 / cfg.ensemble_tau, y, model.n_classes)
+        got = ensemble_class_uncertainty(model, ds, cfg, mask_seed)
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_batch_ccdfs(self, seed):
+        model, x, y, cfg, rng_seed = self.random_case(seed)
+        mask_seed = int(np.random.default_rng(rng_seed).integers(0, 2**63))
+        caches = self.reference_passes(model, x, cfg, mask_seed)
+        mu_f, sigma_f = sample_feature_moments(np.stack([c.feature for c in caches], axis=1))
+        state = model.classifier
+        rivals = rival_class(state, mu_f, y)
+        mu_e, var_e = error_moments(state.weights[rivals], state.weights[y], mu_f, sigma_f)
+        expected = misclassification_ccdf(mu_e, var_e)
+        got = _batch_ccdfs(model, x, y, cfg, np.random.default_rng(rng_seed))
+        assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
 
 
 class TestPersistence:
