@@ -177,15 +177,6 @@ def build_datasets(cfg: RunConfig) -> tuple[data_mod.Dataset, data_mod.Dataset |
             radius=cfg.data_radius,
             std=cfg.data_std,
         )
-        test_specs = data_mod.longtail_blob_specs(
-            n_classes=cfg.data_classes,
-            base_count=cfg.data_base_count,
-            decay=cfg.data_decay,
-            dim=cfg.data_dim,
-            radius=cfg.data_radius,
-            std=cfg.data_std,
-            count_override=cfg.data_test_count,
-        )
     else:
         specs = data_mod.two_class_blob_specs(
             majority_count=cfg.data_majority,
@@ -194,12 +185,7 @@ def build_datasets(cfg: RunConfig) -> tuple[data_mod.Dataset, data_mod.Dataset |
             dim=cfg.data_dim,
             std=cfg.data_std,
         )
-        test_specs = data_mod.two_class_blob_specs(
-            separation=cfg.data_separation,
-            dim=cfg.data_dim,
-            std=cfg.data_std,
-            count_override=cfg.data_test_count,
-        )
+    test_specs = [replace(spec, count=cfg.data_test_count) for spec in specs]
     train_ds = data_mod.gaussian_blobs(specs, seed=stream_seed(cfg.seed, "data-train"))
     test_ds = data_mod.gaussian_blobs(test_specs, seed=stream_seed(cfg.seed, "data-test"))
     return train_ds, test_ds
@@ -255,16 +241,12 @@ def _load_model_and_data(args) -> tuple[MlpModel, data_mod.Dataset]:
     classes still gets one table row per model class.
     """
     model = load_model(args.model)
-    ds = data_mod.load_csv(args.data)
+    ds = data_mod.load_csv(args.data, n_classes=model.n_classes)
     if ds.dim != model.input_dim:
         raise ConfigurationError(
             f"{args.data} has {ds.dim} features per row, the model takes {model.input_dim}"
         )
-    if ds.n_classes > model.n_classes:
-        raise ConfigurationError(
-            f"{args.data} has label {ds.n_classes - 1}, the model has {model.n_classes} classes"
-        )
-    return model, data_mod.Dataset.from_arrays(ds.features, ds.labels, n_classes=model.n_classes)
+    return model, ds
 
 
 def cmd_eval(args) -> int:

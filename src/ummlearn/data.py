@@ -128,7 +128,6 @@ def longtail_blob_specs(
     dim: int = 2,
     radius: float = 5.0,
     std: float = 1.0,
-    count_override: int | None = None,
 ) -> list[BlobSpec]:
     """Default long-tail benchmark: class k has max(1, round(base * decay^k))
     samples, means equally spaced on a circle (first two coordinates)."""
@@ -136,9 +135,7 @@ def longtail_blob_specs(
     for k in range(n_classes):
         angle = 2.0 * math.pi * k / n_classes
         mean = [radius * math.cos(angle), radius * math.sin(angle)] + [0.0] * (dim - 2)
-        count = count_override if count_override is not None else max(
-            1, int(round(base_count * decay**k))
-        )
+        count = max(1, int(round(base_count * decay**k)))
         specs.append(BlobSpec(mean=tuple(mean[:dim]), std=std, count=count))
     return specs
 
@@ -149,17 +146,14 @@ def two_class_blob_specs(
     separation: float = 3.0,
     dim: int = 2,
     std: float = 1.0,
-    count_override: int | None = None,
 ) -> list[BlobSpec]:
     """Majority/minority pair of blobs ``separation`` apart along the first axis."""
     half = separation / 2.0
     maj = [-half] + [0.0] * (dim - 1)
     mino = [half] + [0.0] * (dim - 1)
-    n_major = count_override if count_override is not None else majority_count
-    n_minor = count_override if count_override is not None else minority_count
     return [
-        BlobSpec(mean=tuple(maj), std=std, count=n_major),
-        BlobSpec(mean=tuple(mino), std=std, count=n_minor),
+        BlobSpec(mean=tuple(maj), std=std, count=majority_count),
+        BlobSpec(mean=tuple(mino), std=std, count=minority_count),
     ]
 
 
@@ -173,13 +167,17 @@ def save_csv(ds: Dataset, path) -> None:
             writer.writerow([f"{v:.17g}" for v in row] + [str(int(lab))])
 
 
-def load_csv(path) -> Dataset:
+def load_csv(path, n_classes: int | None = None) -> Dataset:
     """Read a dataset written by ``save_csv``; strict header and row checks.
 
     The rows are read by one vectorized parse. A file that parse cannot read,
     or whose values fail a row check, is read again row by row, which raises
     the ``CsvFormatError`` naming the first faulty line: both paths accept the
     same files and give the same dataset.
+
+    ``n_classes`` is the class count of the model that scores the file: the
+    dataset gets one class per model class, and a label beyond them raises
+    ``CsvFormatError`` before any per-class table is sized.
     """
     path = Path(path)
     with path.open("r", newline="", encoding="utf-8") as fh:
@@ -195,7 +193,9 @@ def load_csv(path) -> Dataset:
         if header[:-1] != expected:
             raise CsvFormatError("header must be f0,...,f{d-1},label", line=1)
         features, labels = _parse_table(path, dim) or _parse_rows(reader, dim)
-    return Dataset.from_arrays(features, labels)
+    if n_classes is not None and labels.max() >= n_classes:
+        raise CsvFormatError(f"{path} has label {labels.max()}, the model has {n_classes} classes")
+    return Dataset.from_arrays(features, labels, n_classes)
 
 
 def _parse_table(path: Path, dim: int) -> tuple[np.ndarray, np.ndarray] | None:

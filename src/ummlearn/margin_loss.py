@@ -75,13 +75,6 @@ class ClassifierState:
     def feature_dim(self) -> int:
         return self.weights.shape[1]
 
-    def clone(self) -> "ClassifierState":
-        return ClassifierState(
-            self.weights.copy(), self.margins.copy(), self.class_uncertainty.copy()
-        )
-
-
-
 
 @dataclass
 class LossResult:

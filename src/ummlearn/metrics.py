@@ -51,10 +51,6 @@ class ConfusionCounts:
     def n_negative(self) -> np.ndarray:
         return self.tn + self.fp
 
-    @property
-    def total(self) -> int:
-        return int(self.tp[0] + self.fp[0] + self.fn[0] + self.tn[0])
-
 
 def _safe_divide(num: np.ndarray, den: np.ndarray, what: str) -> np.ndarray:
     out = np.zeros_like(num, dtype=np.float64)

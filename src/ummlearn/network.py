@@ -116,18 +116,10 @@ class MlpModel:
     def n_classes(self) -> int:
         return self.classifier.n_classes
 
-    def clone(self) -> "MlpModel":
-        return MlpModel(
-            [w.copy() for w in self.hidden_weights],
-            [b.copy() for b in self.hidden_biases],
-            self.classifier.clone(),
-        )
-
 
 @dataclass
 class ForwardCache:
     x: np.ndarray
-    pre: list[np.ndarray]
     act: list[np.ndarray]
     masks: list[np.ndarray] | None
     keep_prob: float
@@ -154,31 +146,57 @@ def _input_matrix(model: MlpModel, x) -> np.ndarray:
     return arr
 
 
+def _pass(model: MlpModel, x: np.ndarray, masks, keep_prob: float, hidden, logits) -> np.ndarray:
+    """One pass over ``x`` into the caller's buffers; returns the penultimate feature.
+
+    ``hidden`` holds one (B, width) buffer per hidden layer and ``logits`` one
+    (B, C) buffer. Each hidden layer is matmul, ``+= b``, ReLU and, with
+    ``masks``, inverted dropout: ``*= mask / keep_prob``. A mask is one row
+    per sample (B, width) or one row for all samples (width,).
+    """
+    h = x
+    for layer, (w, b, buf) in enumerate(zip(model.hidden_weights, model.hidden_biases, hidden)):
+        np.matmul(h, w.T, out=buf)
+        buf += b
+        np.maximum(buf, 0.0, out=buf)
+        if masks is not None:
+            buf *= masks[layer] / keep_prob
+        h = buf
+    np.matmul(h, model.classifier.weights.T, out=logits)
+    return h
+
+
 def forward(model: MlpModel, x, masks=None, keep_prob: float = 1.0) -> ForwardCache:
     """Run the network; with masks, inverted dropout scales kept units by 1/keep_prob."""
     arr = _input_matrix(model, x)
     if masks is not None and len(masks) != len(model.hidden_weights):
         raise DimensionError("one dropout mask per hidden layer is required")
-    h = arr
-    pre_list, act_list = [], []
-    for layer, (w, b) in enumerate(zip(model.hidden_weights, model.hidden_biases)):
-        pre = h @ w.T + b
-        a = np.maximum(pre, 0.0)
-        if masks is not None:
-            a = a * (masks[layer] / keep_prob)
-        pre_list.append(pre)
-        act_list.append(a)
-        h = a
-    logits = h @ model.classifier.weights.T
+    act = [np.empty((arr.shape[0], w)) for w in model.layer_widths]
+    logits = np.empty((arr.shape[0], model.n_classes))
+    feature = _pass(model, arr, masks, keep_prob, act, logits)
     return ForwardCache(
         x=arr,
-        pre=pre_list,
-        act=act_list,
+        act=act,
         masks=list(masks) if masks is not None else None,
         keep_prob=keep_prob,
-        feature=h,
+        feature=feature,
         logits=logits,
     )
+
+
+def _passes(model: MlpModel, x, masks_per_pass, keep_prob: float = 1.0):
+    """Yield (feature, logits) of one inference pass over ``x`` per mask collection.
+
+    Each entry of ``masks_per_pass`` is one 0/1 mask per hidden layer, shared
+    by every row, or ``None`` for a dropout-free pass. Every pass writes into
+    the same buffers, allocated once per call: a caller that keeps a pass's
+    arrays past the next pass must copy them.
+    """
+    x = _input_matrix(model, x)
+    hidden = [np.empty((x.shape[0], w)) for w in model.layer_widths]
+    logits = np.empty((x.shape[0], model.n_classes))
+    for masks in masks_per_pass:
+        yield _pass(model, x, masks, keep_prob, hidden, logits), logits
 
 
 def backward(model: MlpModel, cache: ForwardCache, grad_feature, grad_classifier=None) -> Gradients:
@@ -198,7 +216,9 @@ def backward(model: MlpModel, cache: ForwardCache, grad_feature, grad_classifier
     for layer in range(n_hidden - 1, -1, -1):
         if cache.masks is not None:
             delta = delta * (cache.masks[layer] / cache.keep_prob)
-        delta = delta * (cache.pre[layer] > 0.0)
+        # act > 0 exactly where pre > 0 on kept units (1/keep_prob >= 1), and
+        # delta is already +-0 on dropped ones
+        delta = delta * (cache.act[layer] > 0.0)
         inputs = cache.act[layer - 1] if layer > 0 else cache.x
         g_w[layer] = delta.T @ inputs
         g_b[layer] = delta.sum(axis=0)
@@ -216,32 +236,6 @@ def sgd_step(model: MlpModel, grads: Gradients, lr: float, weight_decay: float) 
         b -= lr * g
     model.classifier.weights -= lr * (grads.classifier_weights + weight_decay * model.classifier.weights)
     return model
-
-
-def _passes(model: MlpModel, x, masks_per_pass, keep_prob: float = 1.0):
-    """Yield (feature, logits) of one inference pass over ``x`` per mask collection.
-
-    Each entry of ``masks_per_pass`` is one 0/1 mask per hidden layer, shared
-    by every row, or ``None`` for a dropout-free pass. Every pass writes into
-    the same buffers, one per hidden layer plus one for the logits, allocated
-    once per call: a caller that keeps a pass's arrays past the next pass
-    must copy them. The ufuncs are those of ``forward``, in the same order, so
-    each pass is bit-identical to ``forward`` with the same masks.
-    """
-    x = _input_matrix(model, x)
-    hidden = [np.empty((x.shape[0], w)) for w in model.layer_widths]
-    logits = np.empty((x.shape[0], model.n_classes))
-    for masks in masks_per_pass:
-        h = x
-        for layer, (w, b, buf) in enumerate(zip(model.hidden_weights, model.hidden_biases, hidden)):
-            np.matmul(h, w.T, out=buf)
-            buf += b
-            np.maximum(buf, 0.0, out=buf)
-            if masks is not None:
-                buf *= masks[layer] / keep_prob
-            h = buf
-        np.matmul(h, model.classifier.weights.T, out=logits)
-        yield h, logits
 
 
 def evaluate(model: MlpModel, dataset: Dataset) -> np.ndarray:
@@ -520,15 +514,12 @@ def train(
                 idx = order[start : start + cfg.train_batch_size]
                 xb = dataset.features[idx]
                 yb = dataset.labels[idx]
-                if model.hidden_weights:
-                    # per-sample Bernoulli(keep) masks, standard SGD dropout
-                    masks = [
-                        (rng_dropout.random((idx.size, w)) < keep).astype(np.float64)
-                        for w in model.layer_widths
-                    ]
-                    cache = forward(model, xb, masks, keep)
-                else:
-                    cache = forward(model, xb)
+                # per-sample Bernoulli(keep) masks, standard SGD dropout
+                masks = [
+                    (rng_dropout.random((idx.size, w)) < keep).astype(np.float64)
+                    for w in model.layer_widths
+                ]
+                cache = forward(model, xb, masks, keep)
                 value, grad_feature, grad_classifier = _batch_loss(
                     model, cache, yb, cfg, phase, cluster_state, rng_ensemble, xb
                 )

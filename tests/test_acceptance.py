@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines and timings as they complete.
 """
 
+import copy
 import math
 import time
 
@@ -189,8 +190,11 @@ class TestCriterion1GradientSuite:
                 model = MlpModel.init(2, (8, 8), 3, rng)
                 xb = rng.standard_normal((4, 2))
                 yb = rng.integers(0, 3, 4)
-                probe = forward(model, xb)
-                if all(np.min(np.abs(pre)) > 1e-3 for pre in probe.pre):
+                h, pres = xb, []
+                for w, b in zip(model.hidden_weights, model.hidden_biases):
+                    pres.append(h @ w.T + b)
+                    h = np.maximum(pres[-1], 0.0)
+                if all(np.min(np.abs(pre)) > 1e-3 for pre in pres):
                     break
 
             def flatten(m):
@@ -201,7 +205,7 @@ class TestCriterion1GradientSuite:
                 )
 
             def rebuild(x):
-                m = model.clone()
+                m = copy.deepcopy(model)
                 pos = 0
                 for i, w in enumerate(m.hidden_weights):
                     m.hidden_weights[i] = x[pos : pos + w.size].reshape(w.shape)

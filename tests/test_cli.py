@@ -261,12 +261,15 @@ class TestReportingCommands:
         assert self.score(command, run_dir, path) == 2
         assert "3 features per row, the model takes 2" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["eval", "uncertainty"])
+    @pytest.mark.parametrize("command", ["eval", "uncertainty", "features2d"])
     def test_label_beyond_model_exit_code_2(self, command, run_dir, tmp_path, capsys):
-        path = tmp_path / "extra.csv"
-        path.write_text("f0,f1,label\n0.5,0.5,0\n0.5,-0.5,2\n")
-        assert self.score(command, run_dir, path) == 2
-        assert "label 2, the model has 2 classes" in capsys.readouterr().err
+        # a per-class table sized by label 10**18 would take exabytes; the load
+        # rejects it first, before features2d checks the model's width too
+        for label in (2, 10**18):
+            path = tmp_path / "extra.csv"
+            path.write_text(f"f0,f1,label\n0.5,0.5,0\n0.5,-0.5,{label}\n")
+            assert self.score(command, run_dir, path) == 2
+            assert f"label {label}, the model has 2 classes" in capsys.readouterr().err
 
     @pytest.mark.parametrize("label", ["-1", "x", "99999999999999999999"])
     def test_bad_label_exit_code_2(self, label, run_dir, tmp_path, capsys):

@@ -1,5 +1,8 @@
 """Forward/backward, SGD, the curriculum trainer, and model persistence."""
 
+import copy
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -36,6 +39,18 @@ def small_model(seed=0, hidden=(8, 8), d=2, c=3):
     return MlpModel.init(d, hidden, c, stream_rng(seed, "init"))
 
 
+def reference_chain(model, x, masks=None, keep=1.0):
+    """The pass arithmetic written out: (pre-activations, activations, feature, logits)."""
+    h, pres, acts = x, [], []
+    for layer, (w, b) in enumerate(zip(model.hidden_weights, model.hidden_biases)):
+        pres.append(h @ w.T + b)
+        h = np.maximum(pres[-1], 0)
+        if masks is not None:
+            h = h * (masks[layer] / keep)
+        acts.append(h)
+    return pres, acts, h, h @ model.classifier.weights.T
+
+
 def flatten_params(model):
     parts = [w.ravel() for w in model.hidden_weights]
     parts += [b.ravel() for b in model.hidden_biases]
@@ -44,7 +59,7 @@ def flatten_params(model):
 
 
 def unflatten_params(model, x):
-    out = model.clone()
+    out = copy.deepcopy(model)
     pos = 0
     for i, w in enumerate(out.hidden_weights):
         out.hidden_weights[i] = x[pos : pos + w.size].reshape(w.shape)
@@ -136,6 +151,60 @@ class TestBackward:
             np.testing.assert_allclose(a, b, atol=1e-12)
 
 
+class TestPassKernel:
+    """``forward`` and ``backward`` against the layer arithmetic written out, bit for bit."""
+
+    @staticmethod
+    def random_case(seed, hidden):
+        rng = np.random.default_rng([seed, 13])
+        d, c, n = int(rng.integers(1, 6)), int(rng.integers(2, 6)), int(rng.integers(1, 50))
+        model = MlpModel.init(d, hidden, c, rng)
+        for b in model.hidden_biases:
+            b[:] = 0.1 * rng.standard_normal(b.shape)
+        return model, 2.0 * rng.standard_normal((n, d)), rng
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("masking", ["none", "per-sample", "shared"])
+    def test_forward_matches_chain(self, seed, masking):
+        model, x, rng = self.random_case(seed, (7, 5, 3))
+        keep = float(rng.uniform(0.2, 0.9))
+        shapes = {"none": None, "per-sample": (x.shape[0],), "shared": ()}[masking]
+        masks = None if shapes is None else [
+            (rng.random(shapes + (w,)) < keep).astype(np.float64) for w in model.layer_widths
+        ]
+        cache = forward(model, x, masks, keep)
+        _, acts, feature, logits = reference_chain(model, x, masks, keep)
+        for got, want in zip(cache.act + [cache.feature, cache.logits], acts + [feature, logits]):
+            assert got.tobytes() == want.tobytes()
+
+    def test_forward_without_hidden_layers(self):
+        model, x, _ = self.random_case(0, ())
+        for cache in (forward(model, x), forward(model, x, [], 0.5)):
+            assert cache.act == [] and cache.feature.tobytes() == x.tobytes()
+            assert cache.logits.tobytes() == (x @ model.classifier.weights.T).tobytes()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_backward_matches_pre_activation_reference(self, seed):
+        model, x, rng = self.random_case(seed, (9, 6))
+        keep = 0.5
+        masks = [(rng.random((x.shape[0], w)) < keep).astype(np.float64) for w in model.layer_widths]
+        pres, acts, feature, _ = reference_chain(model, x, masks, keep)
+        # dropped units whose pre-activation is positive: only the mask zeroes them
+        assert any(((m == 0) & (p > 0)).any() for m, p in zip(masks, pres))
+        upstream = rng.standard_normal(feature.shape)
+        delta, want_w, want_b = upstream, [], []
+        for layer in reversed(range(len(pres))):
+            delta = delta * (masks[layer] / keep)
+            delta = delta * (pres[layer] > 0.0)
+            inputs = acts[layer - 1] if layer > 0 else x
+            want_w.insert(0, delta.T @ inputs)
+            want_b.insert(0, delta.sum(axis=0))
+            delta = delta @ model.hidden_weights[layer]
+        grads = backward(model, forward(model, x, masks, keep), upstream)
+        for got, want in zip(grads.hidden_weights + grads.hidden_biases, want_w + want_b):
+            assert got.tobytes() == want.tobytes()
+
+
 class TestSgdStep:
     def _zero_grads(self, model):
         return Gradients(
@@ -185,7 +254,8 @@ class TestEvaluate:
 def binary_sets(seed):
     tr = gaussian_blobs(two_class_blob_specs(120, 12), seed=stream_seed(seed, "data-train"))
     te = gaussian_blobs(
-        two_class_blob_specs(count_override=60), seed=stream_seed(seed, "data-test")
+        [replace(spec, count=60) for spec in two_class_blob_specs()],
+        seed=stream_seed(seed, "data-test"),
     )
     return tr, te
 
@@ -286,7 +356,7 @@ class TestDropoutPlumbing:
 
 
 class TestEnsembleAgainstForward:
-    """The buffer-sharing ensemble passes equal one ``forward`` call per pass, bit for bit."""
+    """The buffer-sharing ensemble passes equal the pass arithmetic written out, bit for bit."""
 
     @staticmethod
     def random_case(seed):
@@ -306,16 +376,17 @@ class TestEnsembleAgainstForward:
 
     @staticmethod
     def reference_passes(model, x, cfg, seed):
+        """(feature, logits) of each pass."""
         masks = sample_dropout_masks(cfg.ensemble_passes, cfg.ensemble_dropout, model.layer_widths, seed)
-        return [forward(model, x, m, cfg.ensemble_dropout) for m in masks]
+        return [reference_chain(model, x, m, cfg.ensemble_dropout)[2:] for m in masks]
 
     @pytest.mark.parametrize("seed", range(24))
     def test_class_uncertainty(self, seed):
         model, x, y, cfg, mask_seed = self.random_case(seed)
         ds = Dataset.from_arrays(x, y, model.n_classes)
         own = []
-        for cache in self.reference_passes(model, x, cfg, mask_seed):
-            e = np.exp(cache.logits - cache.logits.max(axis=1, keepdims=True))
+        for _, logits in self.reference_passes(model, x, cfg, mask_seed):
+            e = np.exp(logits - logits.max(axis=1, keepdims=True))
             own.append(e[np.arange(y.size), y] / e.sum(axis=1))
         _, variance = sample_feature_moments(np.stack(own))
         expected = class_uncertainty(variance + 1.0 / cfg.ensemble_tau, y, model.n_classes)
@@ -326,8 +397,8 @@ class TestEnsembleAgainstForward:
     def test_batch_ccdfs(self, seed):
         model, x, y, cfg, rng_seed = self.random_case(seed)
         mask_seed = int(np.random.default_rng(rng_seed).integers(0, 2**63))
-        caches = self.reference_passes(model, x, cfg, mask_seed)
-        mu_f, sigma_f = sample_feature_moments(np.stack([c.feature for c in caches], axis=1))
+        passes = self.reference_passes(model, x, cfg, mask_seed)
+        mu_f, sigma_f = sample_feature_moments(np.stack([f for f, _ in passes], axis=1))
         state = model.classifier
         rivals = rival_class(state, mu_f, y)
         mu_e, var_e = error_moments(state.weights[rivals], state.weights[y], mu_f, sigma_f)
