@@ -30,14 +30,7 @@ from .errors import (
     ParameterError,
     TrainingDivergenceError,
 )
-from .gradcheck import check
-from .margin_loss import (
-    angular_margin_loss,
-    large_margin_softmax_loss,
-    softmax_loss,
-    uncertainty_weighted_margin_loss,
-)
-from .margin_loss import ClassifierState
+from .gradcheck import check, selector_problems
 from .network import (
     EpochRecord,
     MlpModel,
@@ -298,76 +291,12 @@ def cmd_features2d(args) -> int:
 def cmd_gradcheck(args) -> int:
     if not 0.0 < args.tolerance < math.inf:
         raise ConfigurationError(f"--tolerance must be finite and positive, got {args.tolerance!r}")
-    rng = stream_rng(args.seed, "gradcheck")
-    c, d = 4, 6
-    state = ClassifierState(rng.standard_normal((c, d)))
-    f = rng.standard_normal(d)
-    y = np.array([rng.integers(0, c)])  # a batch of one
-
-    loss = args.loss
-    if loss == "hybrid-cluster":
-        return _gradcheck_hybrid(args, rng)
-    if loss == "softmax":
-        loss_fn = lambda s, v: softmax_loss(s, v, y)
-    elif loss == "large-margin":
-        loss_fn = lambda s, v: large_margin_softmax_loss(s, v, y, 3)
-    elif loss == "uncertainty-weighted":
-        loss_fn = lambda s, v: uncertainty_weighted_margin_loss(s, v, y, 2, 0.5)
-    elif loss == "angular-i":
-        loss_fn = lambda s, v: angular_margin_loss(s, v, y, variant="i")
-    elif loss == "angular-ii":
-        loss_fn = lambda s, v: angular_margin_loss(s, v, y, variant="ii")
-    else:
-        raise ConfigurationError(f"gradcheck does not support loss {loss!r}")
-
-    x0 = np.concatenate([state.weights.ravel(), f])
-
-    def value_at(x):
-        s = ClassifierState(x[: c * d].reshape(c, d))
-        return loss_fn(s, x[None, c * d :]).value
-
-    res = loss_fn(state, f[None, :])
-    analytic = np.concatenate([res.grad_weights.ravel(), res.grad_feature.ravel()])
-    report = check(value_at, analytic, x0, tolerance=args.tolerance)
-    print(f"loss={loss} seed={args.seed}")
-    print(report)
-    return 0 if report.passed else 1
-
-
-def _gradcheck_hybrid(args, rng) -> int:
-    from .cluster_loss import ClusterState, hybrid_loss, inter_class_margin_loss
-
-    n_classes, dim, batch = 4, 3, 6
-    while True:
-        centers = 2.0 * rng.standard_normal((n_classes, dim))
-        feats = 2.0 * rng.standard_normal((batch, dim))
-        labels = rng.integers(0, n_classes, batch)
-        state = ClusterState.coupled(centers, lam=2.0, s=4.0)
-        half = 0.5 * np.sum((feats - centers[labels]) ** 2, axis=1)
-        iu, ju = np.triu_indices(n_classes, k=1)
-        dists = np.linalg.norm(centers[iu] - centers[ju], axis=1)
-        if np.all(np.abs(half - state.gamma) > 1e-3) and np.all(np.abs(2.0 - dists) > 1e-3):
-            break
-    _, grad_feats, grad_centers = hybrid_loss(state, feats, labels)
-
-    feat_report = check(
-        lambda x: hybrid_loss(state, x.reshape(batch, dim), labels)[0],
-        grad_feats.ravel(),
-        feats.ravel(),
-        tolerance=args.tolerance,
-    )
-    center_report = check(
-        lambda x: inter_class_margin_loss(
-            ClusterState.coupled(x.reshape(n_classes, dim), lam=2.0, s=4.0)
-        )[0],
-        grad_centers.ravel(),
-        centers.ravel(),
-        tolerance=args.tolerance,
-    )
-    print(f"loss=hybrid-cluster seed={args.seed}")
-    print(f"features: {feat_report}")
-    print(f"centers:  {center_report}")
-    return 0 if feat_report.passed and center_report.passed else 1
+    problems = selector_problems(args.loss, args.seed)
+    reports = [(name, check(*problem, tolerance=args.tolerance)) for name, problem in problems]
+    print(f"loss={args.loss} seed={args.seed}")
+    for name, report in reports:
+        print(f"{name + ':':<9} {report}" if name else report)
+    return 0 if all(report.passed for _, report in reports) else 1
 
 
 def cmd_bias_demo(args) -> int:

@@ -177,7 +177,9 @@ def load_csv(path, n_classes: int | None = None) -> Dataset:
 
     ``n_classes`` is the class count of the model that scores the file: the
     dataset gets one class per model class, and a label beyond them raises
-    ``CsvFormatError`` before any per-class table is sized.
+    ``CsvFormatError`` before any per-class table is sized. Without it, as
+    for training, the labels must cover every class from 0 to the largest,
+    and the first class without a row raises ``CsvFormatError``.
     """
     path = Path(path)
     with path.open("r", newline="", encoding="utf-8") as fh:
@@ -193,7 +195,15 @@ def load_csv(path, n_classes: int | None = None) -> Dataset:
         if header[:-1] != expected:
             raise CsvFormatError("header must be f0,...,f{d-1},label", line=1)
         features, labels = _parse_table(path, dim) or _parse_rows(reader, dim)
-    if n_classes is not None and labels.max() >= n_classes:
+    if n_classes is None:
+        present = np.unique(labels)  # sorted and nonnegative: dense iff it ends at size - 1
+        if present[-1] != present.size - 1:
+            missing = int(np.flatnonzero(present != np.arange(present.size))[0])
+            raise CsvFormatError(
+                f"{path} has no row of class {missing} but has label {present[-1]}: "
+                "training labels must cover every class from 0 to the largest"
+            )
+    elif labels.max() >= n_classes:
         raise CsvFormatError(f"{path} has label {labels.max()}, the model has {n_classes} classes")
     return Dataset.from_arrays(features, labels, n_classes)
 

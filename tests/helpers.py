@@ -1,10 +1,12 @@
-"""Shared test utilities: oracles and random-instance factories."""
+"""Shared test utilities: oracles, random-instance factories and MLP parameter vectors."""
 
+import copy
 import math
 
 import numpy as np
 
-from ummlearn.margin_loss import ClassifierState
+from ummlearn.margin_loss import ClassifierState, softmax_loss
+from ummlearn.network import backward, forward
 
 
 def spearman(a, b) -> float:
@@ -70,20 +72,42 @@ def random_batch_instance(rng, margins, n_classes=4, dim=6):
     return state, np.array(feats), np.array(labels)
 
 
-def flatten_instance(state, f):
-    return np.concatenate([state.weights.ravel(), np.ravel(f)])
+def flatten_params(model):
+    """An MLP's hidden weights, hidden biases and classifier weights as one flat vector."""
+    parts = [w.ravel() for w in model.hidden_weights]
+    parts += [b.ravel() for b in model.hidden_biases]
+    parts.append(model.classifier.weights.ravel())
+    return np.concatenate(parts)
 
 
-def loss_value_fn(loss_fn, n_classes, dim, y):
-    """Wrap a LossResult-producing callable as value(params_flat), on a batch of one."""
+def unflatten_params(model, x):
+    """A copy of ``model`` holding the flat parameters ``x`` in ``flatten_params`` order."""
+    out = copy.deepcopy(model)
+    pos = 0
+    for i, w in enumerate(out.hidden_weights):
+        out.hidden_weights[i] = x[pos : pos + w.size].reshape(w.shape)
+        pos += w.size
+    for i, b in enumerate(out.hidden_biases):
+        out.hidden_biases[i] = x[pos : pos + b.size].reshape(b.shape)
+        pos += b.size
+    w = out.classifier.weights
+    out.classifier.weights = x[pos : pos + w.size].reshape(w.shape)
+    return out
+
+
+def mlp_softmax_problem(model, xb, yb):
+    """(value_fn, analytic, x0) of the softmax-head batch loss over every MLP parameter."""
 
     def value(x):
-        state = ClassifierState(x[: n_classes * dim].reshape(n_classes, dim))
-        return loss_fn(state, x[None, n_classes * dim :], [y]).value
+        m = unflatten_params(model, x)
+        return softmax_loss(m.classifier, forward(m, xb).feature, yb).value
 
-    return value
-
-
-def analytic_gradient(res):
-    """(grad_weights, grad_feature) of a LossResult as one flat vector."""
-    return np.concatenate([res.grad_weights.ravel(), res.grad_feature.ravel()])
+    cache = forward(model, xb)
+    res = softmax_loss(model.classifier, cache.feature, yb)
+    grads = backward(model, cache, res.grad_feature, res.grad_weights)
+    analytic = np.concatenate(
+        [g.ravel() for g in grads.hidden_weights]
+        + [g.ravel() for g in grads.hidden_biases]
+        + [grads.classifier_weights.ravel()]
+    )
+    return value, analytic, flatten_params(model)

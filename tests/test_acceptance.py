@@ -4,14 +4,13 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines and timings as they complete.
 """
 
-import copy
 import math
 import time
 
 import numpy as np
 import pytest
 
-from helpers import normal_cdf_simpson, random_classifier_instance, spearman
+from helpers import mlp_softmax_problem, normal_cdf_simpson, random_classifier_instance, spearman
 from ummlearn.cli import main as cli_main
 from ummlearn.cluster_loss import (
     ClusterState,
@@ -27,23 +26,15 @@ from ummlearn.data import (
     imbalance_subsample,
     longtail_blob_specs,
 )
-from ummlearn.gradcheck import central_difference, relative_errors
+from ummlearn.gradcheck import check, cluster_instance, loss_problem
 from ummlearn.margin_loss import (
-    ClassifierState,
     _psi,
     angular_margin_loss,
     large_margin_softmax_loss,
     softmax_loss,
     uncertainty_weighted_margin_loss,
 )
-from ummlearn.network import (
-    MlpModel,
-    RunConfig,
-    backward,
-    ensemble_class_uncertainty,
-    forward,
-    train,
-)
+from ummlearn.network import MlpModel, RunConfig, ensemble_class_uncertainty, train
 from ummlearn.numerics import chebyshev
 from ummlearn.seeding import stream_rng, stream_seed
 from ummlearn.uncertainty import (
@@ -60,32 +51,6 @@ def report(num: int, name: str, ok: bool, detail: str = "") -> None:
     status = "PASS" if ok else "FAIL"
     suffix = f" ({detail})" if detail else ""
     print(f"[criterion {num:2d}] {status}: {name}{suffix}", flush=True)
-
-
-def margin_instance_grad_error(rng, loss_fn, margin=None):
-    state, f, y = random_classifier_instance(rng, margin=margin)
-    res = loss_fn(state, f[None], [y])
-    analytic = np.concatenate([res.grad_weights.ravel(), res.grad_feature.ravel()])
-
-    def value(x):
-        s = ClassifierState(x[:24].reshape(4, 6))
-        return loss_fn(s, x[None, 24:], [y]).value
-
-    numeric = central_difference(value, np.concatenate([state.weights.ravel(), f]))
-    return relative_errors(analytic, numeric).max()
-
-
-def cluster_instance(rng, lam=2.0):
-    while True:
-        centers = 2.0 * rng.standard_normal((4, 3))
-        feats = 2.0 * rng.standard_normal((6, 3))
-        labels = rng.integers(0, 4, 6)
-        state = ClusterState.coupled(centers, lam=lam, s=4.0)
-        half = 0.5 * np.sum((feats - centers[labels]) ** 2, axis=1)
-        iu, ju = np.triu_indices(4, k=1)
-        dists = np.linalg.norm(centers[iu] - centers[ju], axis=1)
-        if np.all(np.abs(half - state.gamma) > 1e-3) and np.all(np.abs(lam - dists) > 1e-3):
-            return state, feats, labels
 
 
 def drop90_datasets(seed, per_class=200, test_count=100, radius=5.0, std=1.0):
@@ -136,36 +101,38 @@ class TestCriterion1GradientSuite:
             ("angular-ii", lambda s, f, y: angular_margin_loss(s, f, y, "ii"), None),
         ]
         for name, fn, margin in families:
-            worst = max(
-                margin_instance_grad_error(rng, fn, margin=margin) for _ in range(100)
-            )
+            worst = 0.0
+            for _ in range(100):
+                state, f, y = random_classifier_instance(rng, margin=margin)
+                worst = max(worst, check(*loss_problem(fn, state, f[None], [y])).max_rel_error)
             if worst >= GRAD_TOL:
                 failures.append(f"{name}: {worst:.2e}")
 
-        for fam_seed, (name, value_grad) in enumerate((
+        # each family maps a cluster instance to the arguments of ``check``
+        for fam_seed, (name, problem) in enumerate((
             (
                 "clustering",
                 lambda st, ft, lb: (
-                    clustering_loss(st, ft, lb)[1].ravel(),
                     lambda x: clustering_loss(st, x.reshape(ft.shape), lb)[0],
+                    clustering_loss(st, ft, lb)[1],
                     ft.ravel(),
                 ),
             ),
             (
                 "inter-class margin + regularizer",
                 lambda st, ft, lb: (
-                    inter_class_margin_loss(st)[1].ravel(),
                     lambda x: inter_class_margin_loss(
                         ClusterState.coupled(x.reshape(4, 3), lam=st.lam, s=st.s)
                     )[0],
+                    inter_class_margin_loss(st)[1],
                     st.centers.ravel(),
                 ),
             ),
             (
                 "hybrid",
                 lambda st, ft, lb: (
-                    hybrid_loss(st, ft, lb)[1].ravel(),
                     lambda x: hybrid_loss(st, x.reshape(ft.shape), lb)[0],
+                    hybrid_loss(st, ft, lb)[1],
                     ft.ravel(),
                 ),
             ),
@@ -173,10 +140,7 @@ class TestCriterion1GradientSuite:
             rng = np.random.default_rng(1004 + fam_seed)
             worst = 0.0
             for _ in range(100):
-                st, ft, lb = cluster_instance(rng)
-                analytic, value_fn, x0 = value_grad(st, ft, lb)
-                numeric = central_difference(value_fn, x0)
-                worst = max(worst, relative_errors(analytic, numeric).max())
+                worst = max(worst, check(*problem(*cluster_instance(rng))).max_rel_error)
             if worst >= GRAD_TOL:
                 failures.append(f"{name}: {worst:.2e}")
 
@@ -196,40 +160,7 @@ class TestCriterion1GradientSuite:
                     h = np.maximum(pres[-1], 0.0)
                 if all(np.min(np.abs(pre)) > 1e-3 for pre in pres):
                     break
-
-            def flatten(m):
-                return np.concatenate(
-                    [w.ravel() for w in m.hidden_weights]
-                    + [b.ravel() for b in m.hidden_biases]
-                    + [m.classifier.weights.ravel()]
-                )
-
-            def rebuild(x):
-                m = copy.deepcopy(model)
-                pos = 0
-                for i, w in enumerate(m.hidden_weights):
-                    m.hidden_weights[i] = x[pos : pos + w.size].reshape(w.shape)
-                    pos += w.size
-                for i, b in enumerate(m.hidden_biases):
-                    m.hidden_biases[i] = x[pos : pos + b.size].reshape(b.shape)
-                    pos += b.size
-                m.classifier.weights = x[pos:].reshape(m.classifier.weights.shape)
-                return m
-
-            def batch_value(x):
-                m = rebuild(x)
-                return softmax_loss(m.classifier, forward(m, xb).feature, yb).value
-
-            cache = forward(model, xb)
-            res = softmax_loss(model.classifier, cache.feature, yb)
-            grads = backward(model, cache, res.grad_feature, res.grad_weights)
-            analytic = np.concatenate(
-                [g.ravel() for g in grads.hidden_weights]
-                + [g.ravel() for g in grads.hidden_biases]
-                + [grads.classifier_weights.ravel()]
-            )
-            numeric = central_difference(batch_value, flatten(model))
-            worst = max(worst, relative_errors(analytic, numeric).max())
+            worst = max(worst, check(*mlp_softmax_problem(model, xb, yb)).max_rel_error)
         if worst >= GRAD_TOL:
             failures.append(f"end-to-end MLP: {worst:.2e}")
 

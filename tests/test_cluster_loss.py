@@ -12,23 +12,7 @@ from ummlearn.cluster_loss import (
     update_centers,
 )
 from ummlearn.errors import ConfigurationError, DimensionError, ParameterError
-from ummlearn.gradcheck import central_difference, relative_errors
-
-
-def random_cluster_instance(rng, n_classes=4, dim=3, batch=6, lam=2.0, away_from_kinks=True):
-    """Random state/batch with hinge arguments kept away from their kinks."""
-    while True:
-        centers = 2.0 * rng.standard_normal((n_classes, dim))
-        feats = 2.0 * rng.standard_normal((batch, dim))
-        labels = rng.integers(0, n_classes, batch)
-        state = ClusterState.coupled(centers, lam=lam, s=4.0)
-        if not away_from_kinks:
-            return state, feats, labels
-        half = 0.5 * np.sum((feats - centers[labels]) ** 2, axis=1)
-        iu, ju = np.triu_indices(n_classes, k=1)
-        dists = np.linalg.norm(centers[iu] - centers[ju], axis=1)
-        if np.all(np.abs(half - state.gamma) > 1e-3) and np.all(np.abs(lam - dists) > 1e-3):
-            return state, feats, labels
+from ummlearn.gradcheck import check, cluster_instance
 
 
 # The loops that the array code replaced, verbatim: they pin the rounding order.
@@ -153,7 +137,9 @@ class TestClusteringLoss:
     def test_deviation_bounded_by_batch_gamma(self):
         rng = np.random.default_rng(34)
         for _ in range(20):
-            state, feats, labels = random_cluster_instance(rng, away_from_kinks=False)
+            state = ClusterState.coupled(2.0 * rng.standard_normal((4, 3)), lam=2.0, s=4.0)
+            feats = 2.0 * rng.standard_normal((6, 3))
+            labels = rng.integers(0, 4, 6)
             value, _ = clustering_loss(state, feats, labels)
             center_loss = 0.5 * np.sum((feats - state.centers[labels]) ** 2)
             assert 0.0 <= center_loss - value <= feats.shape[0] * state.gamma + 1e-12
@@ -166,13 +152,11 @@ class TestClusteringLoss:
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(35)
         for _ in range(20):
-            state, feats, labels = random_cluster_instance(rng)
+            state, feats, labels = cluster_instance(rng)
             _, grad = clustering_loss(state, feats, labels)
-            numeric = central_difference(
-                lambda x: clustering_loss(state, x.reshape(feats.shape), labels)[0],
-                feats.ravel(),
-            )
-            assert relative_errors(grad.ravel(), numeric).max() < 1e-4
+            value = lambda x: clustering_loss(state, x.reshape(feats.shape), labels)[0]
+            report = check(value, grad, feats.ravel())
+            assert report.passed, str(report)
 
 
 class TestUpdateCenters:
@@ -252,11 +236,9 @@ class TestDiversityRegularizer:
             centers = 2.0 * rng.standard_normal((4, 3))
             state = ClusterState(centers)
             _, grad = diversity_regularizer(state)
-            numeric = central_difference(
-                lambda x: diversity_regularizer(ClusterState(x.reshape(4, 3)))[0],
-                centers.ravel(),
-            )
-            assert relative_errors(grad.ravel(), numeric).max() < 1e-4
+            value = lambda x: diversity_regularizer(ClusterState(x.reshape(4, 3)))[0]
+            report = check(value, grad, centers.ravel())
+            assert report.passed, str(report)
 
 
 class TestInterClassMarginLoss:
@@ -286,13 +268,11 @@ class TestInterClassMarginLoss:
             if np.any(np.abs(2.0 - dists) < 1e-3):
                 continue
             _, grad = inter_class_margin_loss(state)
-            numeric = central_difference(
-                lambda x: inter_class_margin_loss(
-                    ClusterState.coupled(x.reshape(4, 3), lam=2.0, s=4.0)
-                )[0],
-                centers.ravel(),
-            )
-            assert relative_errors(grad.ravel(), numeric).max() < 1e-4
+            value = lambda x: inter_class_margin_loss(
+                ClusterState.coupled(x.reshape(4, 3), lam=2.0, s=4.0)
+            )[0]
+            report = check(value, grad, centers.ravel())
+            assert report.passed, str(report)
             checked += 1
 
     def test_coincident_centers_zero_subgradient(self):
@@ -318,7 +298,9 @@ class TestHybridLoss:
     def test_additivity(self):
         rng = np.random.default_rng(41)
         for _ in range(10):
-            state, feats, labels = random_cluster_instance(rng, away_from_kinks=False)
+            state = ClusterState.coupled(2.0 * rng.standard_normal((4, 3)), lam=2.0, s=4.0)
+            feats = 2.0 * rng.standard_normal((6, 3))
+            labels = rng.integers(0, 4, 6)
             total, _, _ = hybrid_loss(state, feats, labels)
             cl, _ = clustering_loss(state, feats, labels)
             mm, _ = inter_class_margin_loss(state)
@@ -330,19 +312,17 @@ class TestHybridLoss:
         # clustering term treats centers as constants by contract)
         rng = np.random.default_rng(42)
         for _ in range(15):
-            state, feats, labels = random_cluster_instance(rng)
+            state, feats, labels = cluster_instance(rng)
             _, gf, gc = hybrid_loss(state, feats, labels)
-            num_f = central_difference(
-                lambda x: hybrid_loss(state, x.reshape(feats.shape), labels)[0], feats.ravel()
-            )
-            assert relative_errors(gf.ravel(), num_f).max() < 1e-4
-            num_c = central_difference(
-                lambda x: inter_class_margin_loss(
-                    ClusterState.coupled(x.reshape(state.centers.shape), lam=state.lam, s=state.s)
-                )[0],
-                state.centers.ravel(),
-            )
-            assert relative_errors(gc.ravel(), num_c).max() < 1e-4
+            value_f = lambda x: hybrid_loss(state, x.reshape(feats.shape), labels)[0]
+            value_c = lambda x: inter_class_margin_loss(
+                ClusterState.coupled(x.reshape(state.centers.shape), lam=state.lam, s=state.s)
+            )[0]
+            for report in (
+                check(value_f, gf, feats.ravel()),
+                check(value_c, gc, state.centers.ravel()),
+            ):
+                assert report.passed, str(report)
 
 
 class TestLoopRounding:

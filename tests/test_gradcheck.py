@@ -55,18 +55,6 @@ class TestCheck:
         report = check(lambda x: float(x[0] ** 2), np.array([0.0]), np.array([3.0]))
         assert not report.passed
 
-    def test_hinge_kink_excluded(self):
-        # |x| within h of its kink: the centered difference straddles the
-        # kink and disagrees with the one-sided derivative
-        fn = lambda x: float(np.abs(x).sum())
-        x0 = np.array([5e-6, 1.0])
-        analytic = np.array([1.0, 1.0])
-        bad = check(fn, analytic, x0, h=1e-5)
-        assert not bad.passed
-        good = check(fn, analytic, x0, h=1e-5, skip_mask=np.array([True, False]))
-        assert good.passed
-        assert good.n_skipped == 1
-
     def test_report_reproducible(self):
         rng = np.random.default_rng(52)
         w = rng.standard_normal(4)

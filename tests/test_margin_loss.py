@@ -5,15 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from helpers import (
-    analytic_gradient,
-    flatten_instance,
-    loss_value_fn,
-    random_batch_instance,
-    random_classifier_instance,
-)
+from helpers import random_batch_instance, random_classifier_instance
 from ummlearn.errors import DegenerateNormError, DimensionError, LabelError, ParameterError
-from ummlearn.gradcheck import central_difference, check, relative_errors
+from ummlearn.gradcheck import check, loss_problem
 from ummlearn.margin_loss import (
     ClassifierState,
     _psi,
@@ -55,12 +49,8 @@ class TestSoftmaxLoss:
         rng = np.random.default_rng(21)
         for _ in range(30):
             state, f, y = random_classifier_instance(rng)
-            res = softmax_loss(state, f[None], [y])
-            analytic = analytic_gradient(res)
-            numeric = central_difference(
-                loss_value_fn(softmax_loss, 4, 6, y), flatten_instance(state, f)
-            )
-            assert relative_errors(analytic, numeric).max() < 1e-4
+            report = check(*loss_problem(softmax_loss, state, f[None], [y]))
+            assert report.passed, str(report)
 
 
 class TestPsi:
@@ -146,13 +136,9 @@ class TestLargeMarginSoftmax:
         rng = np.random.default_rng(100 + m)
         for _ in range(30):
             state, f, y = random_classifier_instance(rng, margin=m)
-            res = large_margin_softmax_loss(state, f[None], [y], m)
-            analytic = analytic_gradient(res)
-            numeric = central_difference(
-                loss_value_fn(lambda s, v, yy: large_margin_softmax_loss(s, v, yy, m), 4, 6, y),
-                flatten_instance(state, f),
-            )
-            assert relative_errors(analytic, numeric).max() < 1e-4
+            loss = lambda s, v, yy: large_margin_softmax_loss(s, v, yy, m)
+            report = check(*loss_problem(loss, state, f[None], [y]))
+            assert report.passed, str(report)
 
     def test_degenerate_feature_norm(self):
         # a numerically zero feature takes the plain softmax loss
@@ -204,15 +190,9 @@ class TestUncertaintyWeightedLoss:
         rng = np.random.default_rng(14)
         for _ in range(30):
             state, f, y = random_classifier_instance(rng, margin=2)
-            res = uncertainty_weighted_margin_loss(state, f[None], [y], 2, 0.5)
-            analytic = analytic_gradient(res)
-            numeric = central_difference(
-                loss_value_fn(
-                    lambda s, v, yy: uncertainty_weighted_margin_loss(s, v, yy, 2, 0.5), 4, 6, y
-                ),
-                flatten_instance(state, f),
-            )
-            assert relative_errors(analytic, numeric).max() < 1e-4
+            loss = lambda s, v, yy: uncertainty_weighted_margin_loss(s, v, yy, 2, 0.5)
+            report = check(*loss_problem(loss, state, f[None], [y]))
+            assert report.passed, str(report)
 
     def test_ccdf_out_of_range(self):
         state = ClassifierState(np.eye(2))
@@ -259,15 +239,9 @@ class TestAngularMarginLoss:
         rng = np.random.default_rng(31 if variant == "i" else 32)
         for _ in range(25):
             state, f, y = random_classifier_instance(rng)
-            res = angular_margin_loss(state, f[None], [y], variant=variant)
-            analytic = analytic_gradient(res)
-            numeric = central_difference(
-                loss_value_fn(
-                    lambda s, v, yy: angular_margin_loss(s, v, yy, variant=variant), 4, 6, y
-                ),
-                flatten_instance(state, f),
-            )
-            assert relative_errors(analytic, numeric).max() < 1e-4
+            loss = lambda s, v, yy: angular_margin_loss(s, v, yy, variant=variant)
+            report = check(*loss_problem(loss, state, f[None], [y]))
+            assert report.passed, str(report)
 
 
 SELECTORS = {
@@ -322,14 +296,8 @@ class TestBatchKernel:
         margins = np.array([1, 2, 3, 2, 1])
         ccdfs = rng.uniform(0.0, 1.0, margins.size)
         state, feats, labels = random_batch_instance(rng, margins)
-        c, d = state.weights.shape
-
-        def value(x):
-            s = ClassifierState(x[: c * d].reshape(c, d))
-            return loss(s, x[c * d :].reshape(feats.shape), labels, margins, ccdfs).value
-
-        res = loss(state, feats, labels, margins, ccdfs)
-        report = check(value, analytic_gradient(res), flatten_instance(state, feats))
+        batch_loss = lambda s, f, y: loss(s, f, y, margins, ccdfs)
+        report = check(*loss_problem(batch_loss, state, feats, labels))
         assert report.passed, str(report)
 
     def test_per_row_shapes_checked(self):

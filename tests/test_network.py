@@ -1,14 +1,14 @@
 """Forward/backward, SGD, the curriculum trainer, and model persistence."""
 
-import copy
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from helpers import flatten_params, mlp_softmax_problem
 from ummlearn.data import Dataset, gaussian_blobs, two_class_blob_specs
 from ummlearn.errors import ConfigurationError, DimensionError, TrainingDivergenceError
-from ummlearn.gradcheck import central_difference, relative_errors
+from ummlearn.gradcheck import check
 from ummlearn.margin_loss import softmax_loss
 from ummlearn.network import (
     Gradients,
@@ -49,27 +49,6 @@ def reference_chain(model, x, masks=None, keep=1.0):
             h = h * (masks[layer] / keep)
         acts.append(h)
     return pres, acts, h, h @ model.classifier.weights.T
-
-
-def flatten_params(model):
-    parts = [w.ravel() for w in model.hidden_weights]
-    parts += [b.ravel() for b in model.hidden_biases]
-    parts.append(model.classifier.weights.ravel())
-    return np.concatenate(parts)
-
-
-def unflatten_params(model, x):
-    out = copy.deepcopy(model)
-    pos = 0
-    for i, w in enumerate(out.hidden_weights):
-        out.hidden_weights[i] = x[pos : pos + w.size].reshape(w.shape)
-        pos += w.size
-    for i, b in enumerate(out.hidden_biases):
-        out.hidden_biases[i] = x[pos : pos + b.size].reshape(b.shape)
-        pos += b.size
-    w = out.classifier.weights
-    out.classifier.weights = x[pos : pos + w.size].reshape(w.shape)
-    return out
 
 
 class TestForward:
@@ -119,22 +98,8 @@ class TestBackward:
         rng = np.random.default_rng(8)
         xb = rng.standard_normal((4, 2))
         yb = rng.integers(0, 3, 4)
-
-        def batch_loss(m):
-            return softmax_loss(m.classifier, forward(m, xb).feature, yb).value
-
-        x0 = flatten_params(model)
-        numeric = central_difference(lambda x: batch_loss(unflatten_params(model, x)), x0)
-
-        cache = forward(model, xb)
-        res = softmax_loss(model.classifier, cache.feature, yb)
-        grads = backward(model, cache, res.grad_feature, res.grad_weights)
-        analytic = np.concatenate(
-            [g.ravel() for g in grads.hidden_weights]
-            + [g.ravel() for g in grads.hidden_biases]
-            + [grads.classifier_weights.ravel()]
-        )
-        assert relative_errors(analytic, numeric).max() < 1e-4
+        report = check(*mlp_softmax_problem(model, xb, yb))
+        assert report.passed, str(report)
 
     def test_batch_linearity(self):
         model = small_model(11)
