@@ -165,15 +165,15 @@ class TestCsvRoundTrip:
             load_csv(path)
 
 
-def csv_outcome(path):
-    """What ``load_csv`` makes of ``path``: the dataset's bytes, or the error it raises.
+def csv_outcome(path, n_classes):
+    """What ``load_csv(path, n_classes)`` makes: the dataset's bytes, or the error it raises.
 
     Any warning that escapes ``load_csv`` fails the test.
     """
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            ds = load_csv(path)
+            ds = load_csv(path, n_classes)
         except CsvFormatError as exc:
             result = ("error", str(exc), exc.line)
         else:
@@ -187,15 +187,19 @@ def csv_outcome(path):
     return result
 
 
-def row_loop_outcome(path, monkeypatch):
+def row_loop_outcome(path, n_classes, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(data_mod, "_parse_table", lambda path, dim: None)
-        return csv_outcome(path)
+        return csv_outcome(path, n_classes)
 
 
 class TestCsvFastPath:
     """The vectorized parse gives what the row loop gives: the same dataset, bit for
-    bit, or the same error, message and line."""
+    bit, or the same error, message and line.
+
+    Every valid label in these files is below 8, so a model class count of 8 keeps the
+    feature parse under test; ``test_training_labels_match_row_loop`` covers the rule
+    for labels read without one."""
 
     @pytest.mark.parametrize(
         "body, fast",
@@ -222,8 +226,29 @@ class TestCsvFastPath:
     def test_same_outcome_as_row_loop(self, body, fast, tmp_path, monkeypatch):
         path = tmp_path / "case.csv"
         path.write_bytes(("f0,f1,label\n" + body).encode())
-        assert csv_outcome(path) == row_loop_outcome(path, monkeypatch)
+        assert csv_outcome(path, 8) == row_loop_outcome(path, 8, monkeypatch)
         assert (data_mod._parse_table(path, 2) is not None) == fast
+
+    @pytest.mark.parametrize(
+        "body, missing",
+        [
+            ("1.5,-2,0\n3,4,1\n", None),
+            ("1.5,-2,1\n\n3,4, 0\n", None),
+            ("1.5,-2,0\n3,4,2\n", 1),
+            ("1.5,-2,2\n3,4,1\n", 0),
+            ('1.5,-2,0\n"3",4,3\n', 1),  # row loop only
+            ("1.5,-2,0\r\n3,4,1\r\n5,6,3\r\n", 2),
+        ],
+    )
+    def test_training_labels_match_row_loop(self, body, missing, tmp_path, monkeypatch):
+        path = tmp_path / "case.csv"
+        path.write_bytes(("f0,f1,label\n" + body).encode())
+        outcome = csv_outcome(path, None)
+        assert outcome == row_loop_outcome(path, None, monkeypatch)
+        if missing is None:
+            assert outcome[0] == "dataset"
+        else:
+            assert outcome[0] == "error" and f"no row of class {missing} " in outcome[1]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_floats_take_the_fast_path(self, seed, tmp_path, monkeypatch):
@@ -241,7 +266,7 @@ class TestCsvFastPath:
         path = tmp_path / "floats.csv"
         path.write_text("\n".join(text) + "\n")
         assert data_mod._parse_table(path, dim) is not None
-        assert csv_outcome(path) == row_loop_outcome(path, monkeypatch)
+        assert csv_outcome(path, 8) == row_loop_outcome(path, 8, monkeypatch)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_random_tricky_fields_match_row_loop(self, seed, tmp_path, monkeypatch):
@@ -250,6 +275,7 @@ class TestCsvFastPath:
         label_tokens = ["0", "2", " 3", "+1", "007", "1.0", "-1", "1e1", "x", "", "\u0663",
                         "99999999999999999999"]
         rng = np.random.default_rng(seed)
+        datasets = 0
         for case in range(40):
             dim = int(rng.integers(1, 4))
             lines = [",".join(f"f{i}" for i in range(dim)) + ",label"]
@@ -265,7 +291,10 @@ class TestCsvFastPath:
             end = "\r\n" if rng.random() < 0.3 else "\n"
             path = tmp_path / f"case{case}.csv"
             path.write_bytes((end.join(lines) + end).encode())
-            assert csv_outcome(path) == row_loop_outcome(path, monkeypatch), lines
+            outcome = csv_outcome(path, 8)
+            assert outcome == row_loop_outcome(path, 8, monkeypatch), lines
+            datasets += outcome[0] == "dataset"
+        assert datasets >= 5  # the features of many files are compared, not only errors
 
 
 class TestDataset:
