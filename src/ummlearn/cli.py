@@ -196,14 +196,20 @@ def metrics_csv_text(records: list[EpochRecord], n_classes: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_training(cfg: RunConfig):
-    """Build data + model from the config, train, and return all artifacts."""
-    train_ds, test_ds = build_datasets(cfg)
+def run_training(
+    cfg: RunConfig,
+    train_ds: data_mod.Dataset,
+    test_ds: data_mod.Dataset | None,
+    prefixes: dict | None = None,
+):
+    """Initialize the model from the config and train it; returns (model, records).
+
+    ``prefixes`` is the sweep's cache of training states (see ``train``).
+    """
     model = MlpModel.init(
         train_ds.dim, cfg.model_hidden, train_ds.n_classes, stream_rng(cfg.seed, "init")
     )
-    model, records = train(model, train_ds, cfg, eval_dataset=test_ds)
-    return model, records, train_ds, test_ds
+    return train(model, train_ds, cfg, test_ds, prefixes)
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +219,10 @@ def run_training(cfg: RunConfig):
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
+    train_ds, test_ds = build_datasets(cfg)  # a rejected CSV exits before any file is written
     out = Path(args.out)
     atomic_write_text(out / "config.txt", "\n".join(config_lines(cfg)) + "\n")
-    model, records, train_ds, test_ds = run_training(cfg)
+    model, records = run_training(cfg, train_ds, test_ds)
     atomic_write_text(out / "metrics.csv", metrics_csv_text(records, train_ds.n_classes))
     with atomic_path(out / "model.npz") as tmp, open(tmp, "wb") as fh:
         save_model(model, fh)  # a file handle: np.savez would append .npz to the temp name
@@ -347,8 +354,9 @@ def cmd_sweep(args) -> int:
         )
 
     rows = []  # (loss, dropout, seed, metric, value)
+    prefixes = {}  # runs that share a curriculum prefix train it once
     for token, p, seed, run_cfg in runs:
-        model, records, train_ds, test_ds = run_training(run_cfg)
+        _, records = run_training(run_cfg, *build_datasets(run_cfg), prefixes)
         final = records[-1]
         rows.append((token, p, seed, "accuracy", final.accuracy))
         rows.append((token, p, seed, "bca", final.bca))

@@ -15,14 +15,26 @@ Training phases:
 Selectors other than ``uncertainty-weighted`` use phase 1 for softmax
 warm-up and keep their own loss through phases 2 and 3 (``hybrid-cluster``
 initializes centers from per-class feature means at the phase boundary).
+
+``train`` runs the phases in turn on one ``TrainState``: the model, the
+four random streams (``shuffle``, ``dropout``, ``ensemble``, ``centers``),
+the cluster centers, the epoch counter and the epoch records. A phase reads
+nothing from earlier phases but that state, so a deep copy taken at a phase
+boundary resumes bit-identically. Phase 1 reads only the softmax settings
+and ``ensemble.dropout``, so runs that differ in their loss share it, and
+``train`` can take it, or a later boundary's state, from a cache that a
+sweep passes to all of its runs.
 """
 
 from __future__ import annotations
 
+import copy
+import hashlib
 import math
 import os
+import pickle
 import zipfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -69,6 +81,18 @@ MAX_LOSS = 1e6
 PHASE_SOFTMAX = 1
 PHASE_CLASS_MARGIN = 2
 PHASE_SAMPLE_WEIGHT = 3
+# Per phase boundary, the config fields that no phase up to it reads: runs
+# that differ only in these train bit-identical states up to that boundary.
+# Phase 1 is plain softmax for every selector; it still reads
+# ensemble.dropout, the keep-probability of the training dropout.
+UNREAD_THROUGH = {
+    PHASE_SOFTMAX: (
+        "train_loss", "train_epochs_umm", "train_epochs_sum", "train_margin",
+        "train_uncertainty_scale", "train_margin_blend", "ensemble_passes", "ensemble_tau",
+        "cluster_lambda", "cluster_s", "cluster_alpha", "cluster_weight", "cluster_random_init",
+    ),
+    PHASE_CLASS_MARGIN: ("train_epochs_sum",),
+}
 
 
 @dataclass
@@ -344,6 +368,25 @@ class EpochRecord:
     recalls: np.ndarray
 
 
+@dataclass
+class TrainState:
+    """Everything training carries from one phase into the next.
+
+    ``phase`` is the last phase run (0 before the first); ``cluster`` holds
+    the hybrid-cluster centers once phase 2 has started them.
+    """
+
+    model: MlpModel
+    shuffle: np.random.Generator
+    dropout: np.random.Generator
+    ensemble: np.random.Generator
+    centers: np.random.Generator
+    cluster: ClusterState | None = None
+    epoch: int = 0
+    phase: int = 0
+    records: list[EpochRecord] = field(default_factory=list)
+
+
 def _own_class_probability(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Each row's softmax probability of its own class, with max subtraction.
 
@@ -470,67 +513,98 @@ def _epoch_record(
 
 
 def train(
-    model: MlpModel, dataset: Dataset, cfg: RunConfig, eval_dataset: Dataset | None = None
+    model: MlpModel,
+    dataset: Dataset,
+    cfg: RunConfig,
+    eval_dataset: Dataset | None = None,
+    prefixes: dict | None = None,
 ) -> tuple[MlpModel, list[EpochRecord]]:
     """Train in place through the three-phase curriculum; returns (model, log).
 
     Fully deterministic per (seed, config, dataset): every random draw comes
     from a named stream under cfg.seed. Raises TrainingDivergenceError when
     a batch loss is non-finite or exceeds ``MAX_LOSS``.
+
+    ``prefixes`` is a cache that the runs of one sweep share. A run stores a
+    deep copy of its state at each phase boundary, keyed by a digest of its
+    initial model and datasets and by its config with the fields that phase
+    does not read (``UNREAD_THROUGH``) reset. It starts from a copy of the
+    deepest stored state whose key it shares; such a run leaves ``model``
+    untouched and returns the trained copy. Either way the result is
+    bit-identical to training without the cache.
     """
     if dataset.n_samples == 0:
         raise DimensionError("training dataset is empty")
     if dataset.n_classes != model.n_classes:
         raise DimensionError("dataset class count does not match the model")
-    rng_shuffle = stream_rng(cfg.seed, "shuffle")
-    rng_dropout = stream_rng(cfg.seed, "dropout")
-    rng_ensemble = stream_rng(cfg.seed, "ensemble")
-    rng_cluster = stream_rng(cfg.seed, "centers")
     eval_ds = eval_dataset if eval_dataset is not None else dataset
 
-    keep = cfg.ensemble_dropout
-    cluster_state: ClusterState | None = None
-    records: list[EpochRecord] = []
-    epoch = 0
-    n = dataset.n_samples
+    keys, state = {}, None
+    if prefixes is not None:
+        inputs = hashlib.sha256(pickle.dumps((model, dataset, eval_ds))).digest()
+        defaults = RunConfig()
+        keys = {
+            phase: (inputs, replace(cfg, **{name: getattr(defaults, name) for name in unread}))
+            for phase, unread in UNREAD_THROUGH.items()
+        }
+        shared = [key for key in keys.values() if key in prefixes]
+        if shared:
+            state = copy.deepcopy(prefixes[shared[-1]])
+    if state is None:
+        streams = (stream_rng(cfg.seed, name) for name in ("shuffle", "dropout", "ensemble", "centers"))
+        state = TrainState(model, *streams)
 
-    for phase, n_epochs in (
+    phases = (
         (PHASE_SOFTMAX, cfg.train_epochs_softmax),
         (PHASE_CLASS_MARGIN, cfg.train_epochs_umm),
         (PHASE_SAMPLE_WEIGHT, cfg.train_epochs_sum),
-    ):
-        for epoch_in_phase in range(n_epochs):
-            if phase >= PHASE_CLASS_MARGIN and epoch_in_phase == 0:
-                # refresh at the phase boundary only: re-measuring while the
-                # margins are already active feeds the flicker they cause
-                # back into ever-larger margins
-                if cfg.train_loss == "uncertainty-weighted":
-                    _refresh_margins(model, dataset, cfg, rng_ensemble)
-                if cfg.train_loss == "hybrid-cluster" and cluster_state is None:
-                    cluster_state = _init_cluster_state(model, dataset, cfg, rng_cluster)
-            order = rng_shuffle.permutation(n)
-            loss_sum = 0.0
-            for start in range(0, n, cfg.train_batch_size):
-                idx = order[start : start + cfg.train_batch_size]
-                xb = dataset.features[idx]
-                yb = dataset.labels[idx]
-                # per-sample Bernoulli(keep) masks, standard SGD dropout
-                masks = [
-                    (rng_dropout.random((idx.size, w)) < keep).astype(np.float64)
-                    for w in model.layer_widths
-                ]
-                cache = forward(model, xb, masks, keep)
-                value, grad_feature, grad_classifier = _batch_loss(
-                    model, cache, yb, cfg, phase, cluster_state, rng_ensemble, xb
-                )
-                if not np.isfinite(value) or value > MAX_LOSS:
-                    raise TrainingDivergenceError(f"loss {value!r} diverged", epoch)
-                grads = backward(model, cache, grad_feature, grad_classifier)
-                sgd_step(model, grads, cfg.train_lr, cfg.train_weight_decay)
-                loss_sum += value * idx.size
-            records.append(_epoch_record(model, eval_ds, epoch, phase, loss_sum / n))
-            epoch += 1
-    return model, records
+    )
+    for phase, n_epochs in phases[state.phase :]:
+        _run_phase(state, phase, n_epochs, dataset, cfg, eval_ds)
+        if phase in keys and keys[phase] not in prefixes:
+            prefixes[keys[phase]] = copy.deepcopy(state)
+    return state.model, state.records
+
+
+def _run_phase(
+    state: TrainState, phase: int, n_epochs: int, dataset: Dataset, cfg: RunConfig, eval_ds: Dataset
+) -> None:
+    """Advance ``state`` through ``n_epochs`` epochs of ``phase``, in place."""
+    model = state.model
+    if phase >= PHASE_CLASS_MARGIN and n_epochs:
+        # refresh at the phase boundary only: re-measuring while the margins
+        # are already active feeds the flicker they cause back into
+        # ever-larger margins
+        if cfg.train_loss == "uncertainty-weighted":
+            _refresh_margins(model, dataset, cfg, state.ensemble)
+        if cfg.train_loss == "hybrid-cluster" and state.cluster is None:
+            state.cluster = _init_cluster_state(model, dataset, cfg, state.centers)
+    keep = cfg.ensemble_dropout
+    n = dataset.n_samples
+    for _ in range(n_epochs):
+        order = state.shuffle.permutation(n)
+        loss_sum = 0.0
+        for start in range(0, n, cfg.train_batch_size):
+            idx = order[start : start + cfg.train_batch_size]
+            xb = dataset.features[idx]
+            yb = dataset.labels[idx]
+            # per-sample Bernoulli(keep) masks, standard SGD dropout
+            masks = [
+                (state.dropout.random((idx.size, w)) < keep).astype(np.float64)
+                for w in model.layer_widths
+            ]
+            cache = forward(model, xb, masks, keep)
+            value, grad_feature, grad_classifier = _batch_loss(
+                model, cache, yb, cfg, phase, state.cluster, state.ensemble, xb
+            )
+            if not np.isfinite(value) or value > MAX_LOSS:
+                raise TrainingDivergenceError(f"loss {value!r} diverged", state.epoch)
+            grads = backward(model, cache, grad_feature, grad_classifier)
+            sgd_step(model, grads, cfg.train_lr, cfg.train_weight_decay)
+            loss_sum += value * idx.size
+        state.records.append(_epoch_record(model, eval_ds, state.epoch, phase, loss_sum / n))
+        state.epoch += 1
+    state.phase = phase
 
 
 def _batch_loss(

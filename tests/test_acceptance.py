@@ -73,12 +73,12 @@ def drop90_datasets(seed, per_class=200, test_count=100, radius=5.0, std=1.0):
     return train_ds, test_ds
 
 
-def final_record(loss, seed, train_ds, test_ds, **overrides):
+def final_record(loss, seed, train_ds, test_ds, prefixes=None, **overrides):
     overrides.setdefault("model_hidden", (96, 96))
     cfg = RunConfig(train_loss=loss, seed=seed, **overrides)
     model = MlpModel.init(train_ds.dim, cfg.model_hidden, train_ds.n_classes,
                           stream_rng(seed, "init"))
-    model, records = train(model, train_ds, cfg, eval_dataset=test_ds)
+    model, records = train(model, train_ds, cfg, test_ds, prefixes)
     return model, records[-1]
 
 
@@ -305,12 +305,14 @@ class TestCriterion7ImbalanceBenefit:
         for seed in range(10):
             train_ds, test_ds = drop90_datasets(seed)
             results = {}
+            prefixes = {}  # both losses share the 80 softmax epochs: train them once
             for loss in ("softmax", "uncertainty-weighted"):
                 _, rec = final_record(
                     loss,
                     seed,
                     train_ds,
                     test_ds,
+                    prefixes,
                     train_epochs_softmax=80,
                     train_epochs_umm=20,
                     train_epochs_sum=10,

@@ -24,12 +24,41 @@ train.batch_size=16
 seed=5
 """
 
+# four long-tail classes of 40, 20, 10 and 5 samples, 50 test samples per
+# class (fine enough that a wrongly shared prefix shows), two epochs per phase
+TINY_LONGTAIL = """
+data.kind=longtail
+data.classes=4
+data.base_count=40
+data.test_count=50
+model.hidden=8,8
+train.epochs_softmax=2
+train.epochs_umm=2
+train.epochs_sum=2
+train.batch_size=16
+"""
+
 
 @pytest.fixture
 def config_path(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(SMALL_CONFIG)
     return path
+
+
+@pytest.fixture
+def no_training(config_path, tmp_path, monkeypatch):
+    """Fail the test if a sweep trains; the check at teardown shows that the tripwire is live."""
+    import ummlearn.cli
+
+    def tripwire(*args):
+        raise AssertionError("a run trained before the sweep's arguments were checked")
+
+    monkeypatch.setattr(ummlearn.cli, "train", tripwire)
+    yield
+    with pytest.raises(AssertionError, match="a run trained"):
+        main(["sweep", "--config", str(config_path), "--out", str(tmp_path / "live"), "--seeds", "1",
+              "--losses", "softmax"])
 
 
 class TestConfigParsing:
@@ -181,6 +210,17 @@ class TestTrainCommand:
         assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
         captured = capsys.readouterr()
         assert "no row of class 1" in captured.err and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("bad_row", ["-1.0,2.0,2", "-1.0,2.0,1000000000000000000", "-1.0,x,1"])
+    def test_rejected_csv_leaves_no_run_directory(self, bad_row, tmp_path, capsys):
+        data = tmp_path / "bad.csv"
+        data.write_text(f"f0,f1,label\n0.5,1.0,0\n{bad_row}\n")
+        path = tmp_path / "csv.cfg"
+        path.write_text(SMALL_CONFIG + f"data.kind=csv\ndata.path={data}\n")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_divergence_exit_code_1(self, tmp_path):
         path = tmp_path / "diverge.cfg"
@@ -395,13 +435,44 @@ class TestSweepCommand:
             outs.append((out / "sweep.csv").read_bytes())
         assert outs[0] == outs[1]
 
-    def test_every_run_checked_before_training(self, config_path, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "extra, losses",
+        [
+            ("", "softmax,umm,umm-sum,hybrid"),
+            ("train.epochs_softmax=0\n", "softmax,umm,umm-sum,hybrid"),
+            ("train.epochs_umm=0\n", "softmax,umm,umm-sum,hybrid"),
+            ("model.hidden=\n", "softmax,hybrid"),
+        ],
+        ids=["curriculum", "no-phase-1", "no-phase-2", "no-hidden-layer"],
+    )
+    def test_shared_prefixes_match_plain_training(self, extra, losses, tmp_path, monkeypatch):
+        # the dropouts differ in phase 1 already: a prefix key without
+        # ensemble.dropout would share phase 1 across them
         import ummlearn.cli
+        import ummlearn.network
 
-        def no_training(cfg):
-            raise AssertionError("a run trained before every run config was checked")
+        path = tmp_path / "longtail.cfg"
+        path.write_text(TINY_LONGTAIL + extra)
+        plain_train, plain_step, steps = ummlearn.network.train, ummlearn.network.sgd_step, []
+        monkeypatch.setattr(ummlearn.network, "sgd_step", lambda *a: steps.append(1) or plain_step(*a))
 
-        monkeypatch.setattr(ummlearn.cli, "run_training", no_training)
+        def sweep(name):
+            steps.clear()
+            out = tmp_path / name
+            assert main(["sweep", "--config", str(path), "--out", str(out), "--seeds", "2",
+                         "--losses", losses, "--dropouts", "0.3,0.5"]) == 0
+            return (out / "sweep.csv").read_bytes(), len(steps)
+
+        def without_cache(model, ds, cfg, eval_ds, prefixes):
+            return plain_train(model, ds, cfg, eval_ds)
+
+        forked, forked_steps = sweep("forked")
+        monkeypatch.setattr(ummlearn.cli, "train", without_cache)
+        plain, plain_steps = sweep("plain")
+        assert forked == plain
+        assert forked_steps < plain_steps  # the shared prefixes trained once
+
+    def test_every_run_checked_before_training(self, no_training, tmp_path, capsys):
         path = tmp_path / "linear.cfg"
         path.write_text(SMALL_CONFIG + "model.hidden=\n")  # fine for softmax, not for umm
         out = tmp_path / "x"
@@ -435,14 +506,8 @@ class TestSweepCommand:
         [("--losses", "softmax,umm,softmax", "softmax"), ("--dropouts", "0.5,0.7,0.50", "0.50")],
     )
     def test_repeated_token_exit_code_2(
-        self, flag, tokens, repeated, config_path, tmp_path, capsys, monkeypatch
+        self, flag, tokens, repeated, no_training, config_path, tmp_path, capsys
     ):
-        import ummlearn.cli
-
-        def no_training(cfg):
-            raise AssertionError("a run trained before the repeated token was rejected")
-
-        monkeypatch.setattr(ummlearn.cli, "run_training", no_training)
         out = tmp_path / "x"
         code = main(["sweep", "--config", str(config_path), "--out", str(out), "--seeds", "1",
                      "--losses", "softmax", flag, tokens])

@@ -1,5 +1,6 @@
 """Forward/backward, SGD, the curriculum trainer, and model persistence."""
 
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from ummlearn.errors import ConfigurationError, DimensionError, TrainingDivergen
 from ummlearn.gradcheck import check
 from ummlearn.margin_loss import softmax_loss
 from ummlearn.network import (
+    LOSS_CHOICES,
     Gradients,
     MlpModel,
     RunConfig,
@@ -268,6 +270,28 @@ class TestTrain:
                 [w.ravel() for w in model.hidden_weights] + [model.classifier.weights.ravel()]
             )
         np.testing.assert_array_equal(finals["softmax"], finals["uncertainty-weighted"])
+
+    @pytest.mark.parametrize("hidden, epochs_softmax", [((8, 8), 3), ((8, 8), 0), ((), 3)])
+    def test_shared_prefixes_bit_identical_to_plain(self, hidden, epochs_softmax):
+        # every selector, then the last one again on other data, all through
+        # one cache: each run equals its plain run bit for bit, and a run
+        # resumes (returns a copy) only when its data matches a stored state
+        losses = [loss for loss in LOSS_CHOICES if hidden or loss != "uncertainty-weighted"]
+        runs = [(loss, 0) for loss in losses] + [(losses[-1], 1)]
+        prefixes = {}
+        for i, (loss, data_seed) in enumerate(runs):
+            tr, te = binary_sets(data_seed)
+            cfg = RunConfig(
+                train_loss=loss, model_hidden=hidden, train_epochs_softmax=epochs_softmax,
+                train_epochs_umm=2, train_epochs_sum=2, seed=0,
+            )
+            plain = train(MlpModel.init(2, hidden, 2, stream_rng(0, "init")), tr, cfg, te)
+            model = MlpModel.init(2, hidden, 2, stream_rng(0, "init"))
+            forked = train(model, tr, cfg, te, prefixes)
+            assert pickle.dumps(forked) == pickle.dumps(plain), loss
+            assert (forked[0] is model) == (i in (0, len(losses)))
+        # one phase-1 state per dataset, one phase-2 state per run
+        assert len(prefixes) == 2 + len(runs)
 
     def test_margin_phase_with_zero_uncertainty_matches_softmax_losses(self):
         # forced-zero uncertainties give unit margins: per-sample margin loss
