@@ -23,13 +23,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import metrics as metrics_mod
-from .errors import (
-    ConfigurationError,
-    CsvFormatError,
-    MetricUndefinedError,
-    ParameterError,
-    TrainingDivergenceError,
-)
+from .errors import ConfigurationError, CsvFormatError, ParameterError, TrainingDivergenceError
 from .gradcheck import check, selector_problems
 from .network import (
     EpochRecord,
@@ -254,13 +248,9 @@ def cmd_eval(args) -> int:
     preds = evaluate(model, ds)
     counts = metrics_mod.ConfusionCounts.from_predictions(ds.labels, preds, ds.n_classes)
     prf = metrics_mod.precision_recall_f1(counts)
-    try:
-        bca_value = metrics_mod.bca(counts)
-    except MetricUndefinedError:  # a model class without samples in the CSV
-        bca_value = float("nan")
     lines = ["metric,value"]
     lines.append(f"accuracy,{_fmt(float(np.mean(preds == ds.labels)))}")
-    lines.append(f"bca,{_fmt(bca_value)}")
+    lines.append(f"bca,{_fmt(metrics_mod.bca(counts))}")  # nan if a model class has no rows
     lines.append(f"g_mean,{_fmt(metrics_mod.g_mean(counts))}")
     lines.append(f"iba,{_fmt(metrics_mod.iba(counts))}")
     lines.append(f"macro_f1,{_fmt(prf.macro_f1)}")

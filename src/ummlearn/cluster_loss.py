@@ -62,9 +62,6 @@ class ClusterState:
     def dim(self) -> int:
         return self.centers.shape[1]
 
-    def clone(self) -> "ClusterState":
-        return ClusterState(self.centers.copy(), self.gamma, self.lam, self.s, self.alpha)
-
 
 def _check_batch(state: ClusterState, features, labels) -> tuple[np.ndarray, np.ndarray]:
     feats = as_matrix(features, "features")
@@ -95,13 +92,13 @@ def clustering_loss(state: ClusterState, features, labels) -> tuple[float, Dense
     return value, grad
 
 
-def update_centers(state: ClusterState, features, labels) -> ClusterState:
-    """Damped per-class center pull c_k <- c_k - alpha * delta_k.
+def update_centers(state: ClusterState, features, labels) -> DenseMatrix:
+    """The new centers after the damped per-class pull c_k <- c_k - alpha * delta_k.
 
     delta_k averages (c_k - r_i) over the class-k rows with a +1 damping
-    term; classes absent from the batch are untouched. Class rows are summed
-    one by one in lexicographic order so batch shuffling cannot change the
-    rounding.
+    term; classes absent from the batch keep their centers. Class rows are
+    summed one by one in lexicographic order so batch shuffling cannot change
+    the rounding. ``state`` is not changed.
     """
     feats, labs = _check_batch(state, features, labels)
     order = np.lexsort((*feats.T[::-1], labs))
@@ -110,9 +107,9 @@ def update_centers(state: ClusterState, features, labels) -> ClusterState:
     n = np.bincount(labs, minlength=state.n_classes)
     present = n > 0
     n, c = n[present, None], state.centers[present]
-    new_state = state.clone()
-    new_state.centers[present] = c - state.alpha * ((n * c - row_sum[present]) / (1.0 + n))
-    return new_state
+    centers = state.centers.copy()
+    centers[present] = c - state.alpha * ((n * c - row_sum[present]) / (1.0 + n))
+    return centers
 
 
 def _pairwise(state: ClusterState) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

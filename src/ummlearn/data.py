@@ -178,8 +178,8 @@ def load_csv(path, n_classes: int | None = None) -> Dataset:
     ``n_classes`` is the class count of the model that scores the file: the
     dataset gets one class per model class, and a label beyond them raises
     ``CsvFormatError`` before any per-class table is sized. Without it, as
-    for training, the labels must cover every class from 0 to the largest,
-    and the first class without a row raises ``CsvFormatError``.
+    for training, the labels must name at least two classes and cover every
+    class from 0 to the largest; otherwise ``CsvFormatError`` names the file.
     """
     path = Path(path)
     with path.open("r", newline="", encoding="utf-8") as fh:
@@ -197,6 +197,8 @@ def load_csv(path, n_classes: int | None = None) -> Dataset:
         features, labels = _parse_table(path, dim) or _parse_rows(reader, dim)
     if n_classes is None:
         present = np.unique(labels)  # sorted and nonnegative: dense iff it ends at size - 1
+        if present.size < 2:
+            raise CsvFormatError(f"{path} has rows of class {present[0]} only: training needs two")
         if present[-1] != present.size - 1:
             missing = int(np.flatnonzero(present != np.arange(present.size))[0])
             raise CsvFormatError(

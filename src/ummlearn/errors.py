@@ -21,10 +21,6 @@ class ConfigurationError(ValueError):
     """Invalid or inconsistent configuration."""
 
 
-class MetricUndefinedError(ValueError):
-    """A metric is undefined for the given confusion counts."""
-
-
 class CsvFormatError(ValueError):
     """A dataset file cannot be parsed.
 

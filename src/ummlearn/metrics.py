@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, LabelError, MetricUndefinedError
+from .errors import DimensionError, LabelError
 
 logger = logging.getLogger(__name__)
 
@@ -62,11 +62,14 @@ def _safe_divide(num: np.ndarray, den: np.ndarray, what: str) -> np.ndarray:
 
 
 def bca(counts: ConfusionCounts) -> float:
-    """Balanced classification accuracy 0.5 tp/N_p + 0.5 tn/N_n, macro-averaged."""
+    """Balanced classification accuracy 0.5 tp/N_p + 0.5 tn/N_n, macro-averaged.
+
+    Undefined, and so nan, unless every class has positive and negative samples.
+    """
     n_pos = counts.n_positive
     n_neg = counts.n_negative
     if np.any(n_pos == 0) or np.any(n_neg == 0):
-        raise MetricUndefinedError("BCA needs positive and negative samples for every class")
+        return float("nan")
     per_class = 0.5 * counts.tp / n_pos + 0.5 * counts.tn / n_neg
     return float(per_class.mean())
 

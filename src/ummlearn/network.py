@@ -17,13 +17,15 @@ warm-up and keep their own loss through phases 2 and 3 (``hybrid-cluster``
 initializes centers from per-class feature means at the phase boundary).
 
 ``train`` runs the phases in turn on one ``TrainState``: the model, the
-four random streams (``shuffle``, ``dropout``, ``ensemble``, ``centers``),
-the cluster centers, the epoch counter and the epoch records. A phase reads
-nothing from earlier phases but that state, so a deep copy taken at a phase
-boundary resumes bit-identically. Phase 1 reads only the softmax settings
-and ``ensemble.dropout``, so runs that differ in their loss share it, and
-``train`` can take it, or a later boundary's state, from a cache that a
-sweep passes to all of its runs.
+three random streams (``shuffle``, ``dropout``, ``ensemble``), the cluster
+centers and the epoch records. A phase reads nothing from earlier phases but
+that state, so a deep copy taken at a phase boundary resumes bit-identically.
+The state at a boundary is the final state of the run truncated there: its
+phase-1 state is that of the same run with ``train.loss=softmax`` and no
+later epochs, its phase-2 state that of the run without phase-3 epochs. Keyed
+by that truncated run, ``train`` can take such a state from a cache that a
+sweep passes to all of its runs, so runs that differ only in their loss train
+phase 1 once.
 """
 
 from __future__ import annotations
@@ -41,12 +43,7 @@ import numpy as np
 from . import metrics as metrics_mod
 from .cluster_loss import ClusterState, hybrid_loss, update_centers
 from .data import Dataset
-from .errors import (
-    ConfigurationError,
-    DimensionError,
-    MetricUndefinedError,
-    TrainingDivergenceError,
-)
+from .errors import ConfigurationError, DimensionError, TrainingDivergenceError
 from .margin_loss import (
     ClassifierState,
     angular_margin_loss,
@@ -81,18 +78,6 @@ MAX_LOSS = 1e6
 PHASE_SOFTMAX = 1
 PHASE_CLASS_MARGIN = 2
 PHASE_SAMPLE_WEIGHT = 3
-# Per phase boundary, the config fields that no phase up to it reads: runs
-# that differ only in these train bit-identical states up to that boundary.
-# Phase 1 is plain softmax for every selector; it still reads
-# ensemble.dropout, the keep-probability of the training dropout.
-UNREAD_THROUGH = {
-    PHASE_SOFTMAX: (
-        "train_loss", "train_epochs_umm", "train_epochs_sum", "train_margin",
-        "train_uncertainty_scale", "train_margin_blend", "ensemble_passes", "ensemble_tau",
-        "cluster_lambda", "cluster_s", "cluster_alpha", "cluster_weight", "cluster_random_init",
-    ),
-    PHASE_CLASS_MARGIN: ("train_epochs_sum",),
-}
 
 
 @dataclass
@@ -308,7 +293,6 @@ class RunConfig:
     cluster_s: float = 4.0
     cluster_alpha: float = 0.5
     cluster_weight: float = 0.1
-    cluster_random_init: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -373,16 +357,15 @@ class TrainState:
     """Everything training carries from one phase into the next.
 
     ``phase`` is the last phase run (0 before the first); ``cluster`` holds
-    the hybrid-cluster centers once phase 2 has started them.
+    the hybrid-cluster centers once phase 2 has started them; ``records``
+    holds one record per epoch run, so its length is the next epoch's index.
     """
 
     model: MlpModel
     shuffle: np.random.Generator
     dropout: np.random.Generator
     ensemble: np.random.Generator
-    centers: np.random.Generator
     cluster: ClusterState | None = None
-    epoch: int = 0
     phase: int = 0
     records: list[EpochRecord] = field(default_factory=list)
 
@@ -445,20 +428,14 @@ def _refresh_margins(model: MlpModel, dataset: Dataset, cfg: RunConfig, rng: np.
     )
 
 
-def _init_cluster_state(
-    model: MlpModel, dataset: Dataset, cfg: RunConfig, rng: np.random.Generator
-) -> ClusterState:
-    c = dataset.n_classes
-    d = model.feature_dim
-    if cfg.cluster_random_init:
-        centers = rng.standard_normal((c, d))
-    else:
-        feats = forward(model, dataset.features).feature
-        centers = np.empty((c, d))
-        global_mean = feats.mean(axis=0)
-        for k in range(c):
-            rows = feats[dataset.labels == k]
-            centers[k] = rows.mean(axis=0) if rows.shape[0] else global_mean
+def _init_cluster_state(model: MlpModel, dataset: Dataset, cfg: RunConfig) -> ClusterState:
+    """Centers at the per-class means of the dropout-free features."""
+    feats = forward(model, dataset.features).feature
+    centers = np.empty((dataset.n_classes, model.feature_dim))
+    global_mean = feats.mean(axis=0)
+    for k in range(dataset.n_classes):
+        rows = feats[dataset.labels == k]
+        centers[k] = rows.mean(axis=0) if rows.shape[0] else global_mean
     return ClusterState.coupled(
         centers, lam=cfg.cluster_lambda, s=cfg.cluster_s, alpha=cfg.cluster_alpha
     )
@@ -497,16 +474,12 @@ def _epoch_record(
     preds = evaluate(model, dataset)
     counts = metrics_mod.ConfusionCounts.from_predictions(dataset.labels, preds, dataset.n_classes)
     accuracy = float(np.mean(preds == dataset.labels))
-    try:
-        bca_value = metrics_mod.bca(counts)
-    except MetricUndefinedError:
-        bca_value = float("nan")
     return EpochRecord(
         epoch=epoch,
         phase=phase,
         loss=mean_loss,
         accuracy=accuracy,
-        bca=bca_value,
+        bca=metrics_mod.bca(counts),
         g_mean=metrics_mod.g_mean(counts),
         recalls=metrics_mod.precision_recall_f1(counts).recall,
     )
@@ -526,12 +499,14 @@ def train(
     a batch loss is non-finite or exceeds ``MAX_LOSS``.
 
     ``prefixes`` is a cache that the runs of one sweep share. A run stores a
-    deep copy of its state at each phase boundary, keyed by a digest of its
-    initial model and datasets and by its config with the fields that phase
-    does not read (``UNREAD_THROUGH``) reset. It starts from a copy of the
-    deepest stored state whose key it shares; such a run leaves ``model``
-    untouched and returns the trained copy. Either way the result is
-    bit-identical to training without the cache.
+    deep copy of its state at the phase-1 and phase-2 boundaries, each keyed
+    by a digest of its initial model and datasets and by the config of the
+    run truncated there: ``train.loss=softmax`` with no phase-2 or phase-3
+    epochs for phase 1, no phase-3 epochs for phase 2. Every other field is
+    part of both keys. A run starts from a copy of the deepest stored state
+    whose key it shares; such a run leaves ``model`` untouched and returns
+    the trained copy. Either way the result is bit-identical to training
+    without the cache.
     """
     if dataset.n_samples == 0:
         raise DimensionError("training dataset is empty")
@@ -542,16 +517,17 @@ def train(
     keys, state = {}, None
     if prefixes is not None:
         inputs = hashlib.sha256(pickle.dumps((model, dataset, eval_ds))).digest()
-        defaults = RunConfig()
         keys = {
-            phase: (inputs, replace(cfg, **{name: getattr(defaults, name) for name in unread}))
-            for phase, unread in UNREAD_THROUGH.items()
+            PHASE_SOFTMAX: (
+                inputs, replace(cfg, train_loss="softmax", train_epochs_umm=0, train_epochs_sum=0)
+            ),
+            PHASE_CLASS_MARGIN: (inputs, replace(cfg, train_epochs_sum=0)),
         }
         shared = [key for key in keys.values() if key in prefixes]
         if shared:
             state = copy.deepcopy(prefixes[shared[-1]])
     if state is None:
-        streams = (stream_rng(cfg.seed, name) for name in ("shuffle", "dropout", "ensemble", "centers"))
+        streams = (stream_rng(cfg.seed, name) for name in ("shuffle", "dropout", "ensemble"))
         state = TrainState(model, *streams)
 
     phases = (
@@ -578,7 +554,7 @@ def _run_phase(
         if cfg.train_loss == "uncertainty-weighted":
             _refresh_margins(model, dataset, cfg, state.ensemble)
         if cfg.train_loss == "hybrid-cluster" and state.cluster is None:
-            state.cluster = _init_cluster_state(model, dataset, cfg, state.centers)
+            state.cluster = _init_cluster_state(model, dataset, cfg)
     keep = cfg.ensemble_dropout
     n = dataset.n_samples
     for _ in range(n_epochs):
@@ -594,59 +570,48 @@ def _run_phase(
                 for w in model.layer_widths
             ]
             cache = forward(model, xb, masks, keep)
-            value, grad_feature, grad_classifier = _batch_loss(
-                model, cache, yb, cfg, phase, state.cluster, state.ensemble, xb
-            )
+            value, grad_feature, grad_classifier = _batch_loss(state, cache, xb, yb, cfg, phase)
             if not np.isfinite(value) or value > MAX_LOSS:
-                raise TrainingDivergenceError(f"loss {value!r} diverged", state.epoch)
+                raise TrainingDivergenceError(f"loss {value!r} diverged", len(state.records))
             grads = backward(model, cache, grad_feature, grad_classifier)
             sgd_step(model, grads, cfg.train_lr, cfg.train_weight_decay)
             loss_sum += value * idx.size
-        state.records.append(_epoch_record(model, eval_ds, state.epoch, phase, loss_sum / n))
-        state.epoch += 1
+        state.records.append(_epoch_record(model, eval_ds, len(state.records), phase, loss_sum / n))
     state.phase = phase
 
 
 def _batch_loss(
-    model: MlpModel,
-    cache: ForwardCache,
-    yb: np.ndarray,
-    cfg: RunConfig,
-    phase: int,
-    cluster_state: ClusterState | None,
-    rng_ensemble: np.random.Generator,
-    xb: np.ndarray,
+    state: TrainState, cache: ForwardCache, xb: np.ndarray, yb: np.ndarray, cfg: RunConfig, phase: int
 ):
     """Loss value and gradients for one batch under the phase/selector rules.
 
     For ``hybrid-cluster`` this also takes the batch's center step, in place
-    on ``cluster_state``: the damped moving average, then the gradient step
+    on ``state.cluster``: the damped moving average, then the gradient step
     on the center-separation terms.
     """
-    state, feats = model.classifier, cache.feature
+    clf, feats = state.model.classifier, cache.feature
     loss, blend = cfg.train_loss, cfg.train_margin_blend
     if phase == PHASE_SOFTMAX or loss in ("softmax", "hybrid-cluster"):
-        res = softmax_loss(state, feats, yb)
+        res = softmax_loss(clf, feats, yb)
     elif loss == "large-margin":
-        res = large_margin_softmax_loss(state, feats, yb, cfg.train_margin, blend=blend)
+        res = large_margin_softmax_loss(clf, feats, yb, cfg.train_margin, blend=blend)
     elif loss == "uncertainty-weighted" and phase == PHASE_CLASS_MARGIN:
-        res = large_margin_softmax_loss(state, feats, yb, state.margins[yb], blend=blend)
+        res = large_margin_softmax_loss(clf, feats, yb, clf.margins[yb], blend=blend)
     elif loss == "uncertainty-weighted":
-        weights = _sample_weights(_batch_ccdfs(model, xb, yb, cfg, rng_ensemble))
-        res = uncertainty_weighted_margin_loss(
-            state, feats, yb, state.margins[yb], weights, blend=blend
-        )
+        weights = _sample_weights(_batch_ccdfs(state.model, xb, yb, cfg, state.ensemble))
+        res = uncertainty_weighted_margin_loss(clf, feats, yb, clf.margins[yb], weights, blend=blend)
     else:  # angular-i or angular-ii; RunConfig admits no other selector
-        res = angular_margin_loss(state, feats, yb, variant=loss.removeprefix("angular-"))
+        res = angular_margin_loss(clf, feats, yb, variant=loss.removeprefix("angular-"))
     value, grad_feature = res.value, res.grad_feature
 
-    if cluster_state is not None:  # hybrid-cluster, from phase 2 on
+    cluster = state.cluster
+    if cluster is not None:  # hybrid-cluster, from phase 2 on
         scale = cfg.cluster_weight / feats.shape[0]
-        cl_value, cl_grad, grad_centers = hybrid_loss(cluster_state, feats, yb)
+        cl_value, cl_grad, grad_centers = hybrid_loss(cluster, feats, yb)
         value += scale * cl_value
         grad_feature = grad_feature + scale * cl_grad
-        cluster_state.centers = update_centers(cluster_state, feats, yb).centers
-        cluster_state.centers -= cfg.train_lr * scale * grad_centers
+        cluster.centers = update_centers(cluster, feats, yb)
+        cluster.centers -= cfg.train_lr * scale * grad_centers
     return value, grad_feature, res.grad_weights
 
 
@@ -667,10 +632,11 @@ def save_model(model: MlpModel, path) -> None:
 def load_model(path) -> MlpModel:
     """Inverse of ``save_model``.
 
-    A file that is not an .npz archive, lacks an array, stores a hidden layer
-    with no units, or stores shapes that do not chain from the input through
-    the hidden layers into the classifier raises ``ConfigurationError``
-    naming the file and the array.
+    A file that is not an .npz archive, lacks an array, stores an ``n_hidden``
+    that is not a nonnegative integer, a hidden layer with no units or with
+    non-numeric or non-finite weights or biases, or shapes that do not chain from the input
+    through the hidden layers into the classifier raises
+    ``ConfigurationError`` naming the file and the array.
     """
     try:
         archive = np.load(path)
@@ -688,7 +654,9 @@ def load_model(path) -> MlpModel:
         return arr
 
     with archive:
-        n_hidden = int(array("n_hidden", 0))
+        n_hidden = array("n_hidden", 0)
+        if n_hidden.dtype.kind not in "iu" or n_hidden < 0:
+            raise ConfigurationError(f"{path}: n_hidden is {n_hidden}, not a nonnegative integer")
         weights = [array(f"hidden_w{i}", 2) for i in range(n_hidden)]
         biases = [array(f"hidden_b{i}", 1) for i in range(n_hidden)]
         head = array("classifier_weights", 2)
@@ -699,6 +667,9 @@ def load_model(path) -> MlpModel:
     for i, (w, b) in enumerate(zip(weights, biases)):
         if w.shape[0] == 0:
             raise ConfigurationError(f"{path}: hidden_w{i} has shape {w.shape}, a layer with no units")
+        for name, arr in ((f"hidden_w{i}", w), (f"hidden_b{i}", b)):
+            if arr.dtype.kind not in "fiu" or not np.isfinite(arr).all():
+                raise ConfigurationError(f"{path}: {name} has non-numeric or non-finite entries")
         expected += [
             (f"hidden_w{i}", w.shape, (w.shape[0], fan_in)),
             (f"hidden_b{i}", b.shape, w.shape[:1]),

@@ -169,11 +169,13 @@ class TestTrainCommand:
         assert "seed=9" in (out_a / "config.txt").read_text()
 
     def test_unknown_key_exit_code_2(self, tmp_path, capsys):
-        path = tmp_path / "bad.cfg"
-        path.write_text("no.such.key=1\n")
-        code = main(["train", "--config", str(path), "--out", str(tmp_path / "x")])
-        assert code == 2
-        assert "no.such.key" in capsys.readouterr().err
+        # cluster.random_init named an ablation that is gone
+        for key in ("no.such.key", "cluster.random_init"):
+            path = tmp_path / "bad.cfg"
+            path.write_text(f"{key}=1\n")
+            code = main(["train", "--config", str(path), "--out", str(tmp_path / "x")])
+            assert code == 2
+            assert f"unknown config key {key!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "extra, key",
@@ -211,7 +213,9 @@ class TestTrainCommand:
         captured = capsys.readouterr()
         assert "no row of class 1" in captured.err and "Traceback" not in captured.err
 
-    @pytest.mark.parametrize("bad_row", ["-1.0,2.0,2", "-1.0,2.0,1000000000000000000", "-1.0,x,1"])
+    @pytest.mark.parametrize(
+        "bad_row", ["-1.0,2.0,2", "-1.0,2.0,1000000000000000000", "-1.0,x,1", "-1.0,2.0,0"]
+    )
     def test_rejected_csv_leaves_no_run_directory(self, bad_row, tmp_path, capsys):
         data = tmp_path / "bad.csv"
         data.write_text(f"f0,f1,label\n0.5,1.0,0\n{bad_row}\n")
@@ -368,6 +372,25 @@ class TestReportingCommands:
         assert main([command, "--model", str(model), "--data", str(run_dir / "test.csv")]) == 2
         err = capsys.readouterr().err
         assert str(model) in err and "hidden_w0" in err
+
+    @pytest.mark.parametrize("command", ["eval", "uncertainty", "features2d"])
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("hidden_w0", np.where(np.eye(8, 2) > 0, np.nan, 0.5)),
+            ("hidden_b1", np.full(8, np.inf)),
+            ("hidden_w1", np.full((8, 8), "a")),
+            ("n_hidden", np.array(2.5)),
+            ("n_hidden", np.array(-1)),
+        ],
+        ids=["nan-weight", "inf-bias", "text-weight", "fractional-n_hidden", "negative-n_hidden"],
+    )
+    def test_model_bad_hidden_array_exit_code_2(self, command, name, value, run_dir, tmp_path, capsys):
+        model = tmp_path / "broken.npz"
+        self.write_model(model, run_dir, **{name: value})
+        assert main([command, "--model", str(model), "--data", str(run_dir / "test.csv")]) == 2
+        err = capsys.readouterr().err
+        assert str(model) in err and name in err
 
     def test_model_not_an_npz_exit_code_2(self, run_dir, tmp_path, capsys):
         model = tmp_path / "model.npz"

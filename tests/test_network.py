@@ -273,25 +273,39 @@ class TestTrain:
 
     @pytest.mark.parametrize("hidden, epochs_softmax", [((8, 8), 3), ((8, 8), 0), ((), 3)])
     def test_shared_prefixes_bit_identical_to_plain(self, hidden, epochs_softmax):
-        # every selector, then the last one again on other data, all through
-        # one cache: each run equals its plain run bit for bit, and a run
-        # resumes (returns a copy) only when its data matches a stored state
+        # every selector, the last one again on other data, then with one
+        # phase-1 field changed, then with only later-phase epochs changed, all
+        # through one cache: each run equals its plain run bit for bit, and a
+        # run trains its own phase 1 (returns its own model) only when no
+        # earlier run matches its data and its truncated phase-1 config
         losses = [loss for loss in LOSS_CHOICES if hidden or loss != "uncertainty-weighted"]
-        runs = [(loss, 0) for loss in losses] + [(losses[-1], 1)]
+        last = {"train_loss": losses[-1]}
+        phase_1_changes = [
+            {"seed": 1}, {"ensemble_dropout": 0.3}, {"train_lr": 0.04}, {"train_weight_decay": 0.0},
+            {"train_batch_size": 17}, {"train_epochs_softmax": epochs_softmax + 1},
+        ]
+        runs = (  # (config overrides, data seed, trains its own phase 1)
+            [({"train_loss": loss}, 0, i == 0) for i, loss in enumerate(losses)]
+            + [(last, 1, True)]
+            + [(last | change, 0, True) for change in phase_1_changes]
+            + [(last | {"train_epochs_umm": 1}, 0, False), (last | {"train_epochs_sum": 0}, 0, False)]
+        )
         prefixes = {}
-        for i, (loss, data_seed) in enumerate(runs):
+        for overrides, data_seed, own_phase_1 in runs:
             tr, te = binary_sets(data_seed)
             cfg = RunConfig(
-                train_loss=loss, model_hidden=hidden, train_epochs_softmax=epochs_softmax,
+                model_hidden=hidden, train_epochs_softmax=epochs_softmax,
                 train_epochs_umm=2, train_epochs_sum=2, seed=0,
             )
+            cfg = replace(cfg, **overrides)
             plain = train(MlpModel.init(2, hidden, 2, stream_rng(0, "init")), tr, cfg, te)
             model = MlpModel.init(2, hidden, 2, stream_rng(0, "init"))
             forked = train(model, tr, cfg, te, prefixes)
-            assert pickle.dumps(forked) == pickle.dumps(plain), loss
-            assert (forked[0] is model) == (i in (0, len(losses)))
-        # one phase-1 state per dataset, one phase-2 state per run
-        assert len(prefixes) == 2 + len(runs)
+            assert pickle.dumps(forked) == pickle.dumps(plain), overrides
+            assert (forked[0] is model) == own_phase_1, overrides
+        # one phase-1 state per run that trains its own, one phase-2 state per
+        # run but the last, whose phase-2 config equals the base run's
+        assert len(prefixes) == sum(own for _, _, own in runs) + len(runs) - 1
 
     def test_margin_phase_with_zero_uncertainty_matches_softmax_losses(self):
         # forced-zero uncertainties give unit margins: per-sample margin loss
