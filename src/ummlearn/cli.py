@@ -58,12 +58,6 @@ _KEY_TO_FIELD = {f.name.replace("_", ".", 1): f.name for f in fields(RunConfig)}
 def _parse_value(field_name: str, raw: str):
     default = getattr(RunConfig(), field_name)
     raw = raw.strip()
-    if isinstance(default, bool):
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigurationError(f"expected a boolean for {field_name}, got {raw!r}")
     if isinstance(default, int):
         return int(raw)
     if isinstance(default, float):
@@ -105,8 +99,6 @@ def config_lines(cfg: RunConfig) -> list[str]:
         value = getattr(cfg, _KEY_TO_FIELD[key])
         if isinstance(value, tuple):
             text = ",".join(str(v) for v in value)
-        elif isinstance(value, bool):
-            text = "true" if value else "false"
         elif isinstance(value, float):
             text = f"{value:.17g}"
         else:

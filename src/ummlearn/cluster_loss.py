@@ -25,21 +25,17 @@ from .numerics import DenseMatrix, as_matrix
 class ClusterState:
     """Per-class centers plus the coupled margin geometry.
 
-    gamma is the slack inside which a sample-to-center distance is free;
-    lam is the required separation between centers; s couples them as
-    gamma = lam / s (s > 2); alpha damps the center updates.
+    lam is the required separation between centers; s (> 2) couples the
+    slack ``gamma`` to it; alpha damps the center updates.
     """
 
     centers: DenseMatrix
-    gamma: float = 2.5
     lam: float = 10.0
     s: float = 4.0
     alpha: float = 0.5
 
     def __post_init__(self):
         self.centers = as_matrix(self.centers, "centers")
-        if self.gamma < 0:
-            raise ParameterError(f"gamma must be nonnegative, got {self.gamma!r}")
         if self.lam <= 0:
             raise ParameterError(f"lam must be positive, got {self.lam!r}")
         if self.s <= 2:
@@ -47,12 +43,10 @@ class ClusterState:
         if not 0 < self.alpha <= 1:
             raise ParameterError(f"alpha must lie in (0, 1], got {self.alpha!r}")
 
-    @classmethod
-    def coupled(cls, centers, lam: float = 10.0, s: float = 4.0, alpha: float = 0.5) -> "ClusterState":
-        """Construct with gamma tied to the separation margin: gamma = lam / s."""
-        if s <= 2:
-            raise ParameterError(f"s must exceed 2, got {s!r}")
-        return cls(centers=centers, gamma=lam / s, lam=lam, s=s, alpha=alpha)
+    @property
+    def gamma(self) -> float:
+        """The slack inside which a sample-to-center distance is free: lam / s."""
+        return self.lam / self.s
 
     @property
     def n_classes(self) -> int:

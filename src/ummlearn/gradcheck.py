@@ -119,7 +119,7 @@ def cluster_instance(rng: np.random.Generator):
         centers = 2.0 * rng.standard_normal((n_classes, dim))
         feats = 2.0 * rng.standard_normal((batch, dim))
         labels = rng.integers(0, n_classes, batch)
-        state = ClusterState.coupled(centers, lam=lam, s=4.0)
+        state = ClusterState(centers, lam=lam, s=4.0)
         half = 0.5 * np.sum((feats - centers[labels]) ** 2, axis=1)
         dists = np.linalg.norm(centers[iu] - centers[ju], axis=1)
         if np.all(np.abs(half - state.gamma) > 1e-3) and np.all(np.abs(lam - dists) > 1e-3):
@@ -148,8 +148,7 @@ def selector_problems(selector: str, seed: int) -> list[tuple[str, tuple]]:
 
     def centers_value(x):
         centers = x.reshape(cluster.centers.shape)
-        coupled = ClusterState.coupled(centers, lam=cluster.lam, s=cluster.s)
-        return inter_class_margin_loss(coupled)[0]
+        return inter_class_margin_loss(ClusterState(centers, lam=cluster.lam, s=cluster.s))[0]
 
     return [
         ("features", (features_value, grad_feats.ravel(), feats.ravel())),

@@ -53,11 +53,12 @@ class ClassifierState:
         if self.margins is None:
             self.margins = np.ones(c, dtype=np.int64)
         else:
-            self.margins = np.asarray(self.margins, dtype=np.int64)
-            if self.margins.shape != (c,):
+            margins = np.asarray(self.margins, dtype=np.float64)
+            if margins.shape != (c,):
                 raise DimensionError("margins must have one entry per class")
-            if np.any(self.margins < 1) or np.any(self.margins > M_MAX):
-                raise ParameterError(f"margins must lie in [1, {M_MAX}]")
+            if not np.all((margins >= 1) & (margins <= M_MAX) & (margins == np.floor(margins))):
+                raise ParameterError(f"margins must be integers in [1, {M_MAX}]")
+            self.margins = margins.astype(np.int64)
         if self.class_uncertainty is None:
             self.class_uncertainty = np.zeros(c, dtype=np.float64)
         else:

@@ -56,6 +56,7 @@ from .numerics import M_MAX
 from .seeding import stream_rng
 from .uncertainty import (
     class_uncertainty,
+    dropout_masks,
     error_moments,
     misclassification_ccdf,
     rival_class,
@@ -131,9 +132,7 @@ class ForwardCache:
     x: np.ndarray
     act: list[np.ndarray]
     masks: list[np.ndarray] | None
-    keep_prob: float
     feature: np.ndarray
-    logits: np.ndarray
 
 
 @dataclass
@@ -155,13 +154,14 @@ def _input_matrix(model: MlpModel, x) -> np.ndarray:
     return arr
 
 
-def _pass(model: MlpModel, x: np.ndarray, masks, keep_prob: float, hidden, logits) -> np.ndarray:
+def _pass(model: MlpModel, x: np.ndarray, masks, hidden) -> np.ndarray:
     """One pass over ``x`` into the caller's buffers; returns the penultimate feature.
 
-    ``hidden`` holds one (B, width) buffer per hidden layer and ``logits`` one
-    (B, C) buffer. Each hidden layer is matmul, ``+= b``, ReLU and, with
-    ``masks``, inverted dropout: ``*= mask / keep_prob``. A mask is one row
-    per sample (B, width) or one row for all samples (width,).
+    ``hidden`` holds one (B, width) buffer per hidden layer. Each hidden layer
+    is matmul, ``+= b``, ReLU and, with ``masks``, inverted dropout:
+    ``*= mask``, where a mask holds 0 or 1/keep-probability (see
+    ``uncertainty.dropout_masks``), one row per sample (B, width) or one row
+    for all samples (width,).
     """
     h = x
     for layer, (w, b, buf) in enumerate(zip(model.hidden_weights, model.hidden_biases, hidden)):
@@ -169,35 +169,28 @@ def _pass(model: MlpModel, x: np.ndarray, masks, keep_prob: float, hidden, logit
         buf += b
         np.maximum(buf, 0.0, out=buf)
         if masks is not None:
-            buf *= masks[layer] / keep_prob
+            buf *= masks[layer]
         h = buf
-    np.matmul(h, model.classifier.weights.T, out=logits)
     return h
 
 
-def forward(model: MlpModel, x, masks=None, keep_prob: float = 1.0) -> ForwardCache:
-    """Run the network; with masks, inverted dropout scales kept units by 1/keep_prob."""
+def forward(model: MlpModel, x, masks=None) -> ForwardCache:
+    """Run the hidden stack up to the penultimate feature, with optional dropout ``masks``."""
     arr = _input_matrix(model, x)
     if masks is not None and len(masks) != len(model.hidden_weights):
         raise DimensionError("one dropout mask per hidden layer is required")
     act = [np.empty((arr.shape[0], w)) for w in model.layer_widths]
-    logits = np.empty((arr.shape[0], model.n_classes))
-    feature = _pass(model, arr, masks, keep_prob, act, logits)
+    feature = _pass(model, arr, masks, act)
     return ForwardCache(
-        x=arr,
-        act=act,
-        masks=list(masks) if masks is not None else None,
-        keep_prob=keep_prob,
-        feature=feature,
-        logits=logits,
+        x=arr, act=act, masks=list(masks) if masks is not None else None, feature=feature
     )
 
 
-def _passes(model: MlpModel, x, masks_per_pass, keep_prob: float = 1.0):
+def _passes(model: MlpModel, x, masks_per_pass):
     """Yield (feature, logits) of one inference pass over ``x`` per mask collection.
 
-    Each entry of ``masks_per_pass`` is one 0/1 mask per hidden layer, shared
-    by every row, or ``None`` for a dropout-free pass. Every pass writes into
+    Each entry of ``masks_per_pass`` is one mask per hidden layer, shared by
+    every row, or ``None`` for a dropout-free pass. Every pass writes into
     the same buffers, allocated once per call: a caller that keeps a pass's
     arrays past the next pass must copy them.
     """
@@ -205,7 +198,9 @@ def _passes(model: MlpModel, x, masks_per_pass, keep_prob: float = 1.0):
     hidden = [np.empty((x.shape[0], w)) for w in model.layer_widths]
     logits = np.empty((x.shape[0], model.n_classes))
     for masks in masks_per_pass:
-        yield _pass(model, x, masks, keep_prob, hidden, logits), logits
+        feature = _pass(model, x, masks, hidden)
+        np.matmul(feature, model.classifier.weights.T, out=logits)
+        yield feature, logits
 
 
 def backward(model: MlpModel, cache: ForwardCache, grad_feature, grad_classifier=None) -> Gradients:
@@ -224,8 +219,8 @@ def backward(model: MlpModel, cache: ForwardCache, grad_feature, grad_classifier
     g_b = [None] * n_hidden
     for layer in range(n_hidden - 1, -1, -1):
         if cache.masks is not None:
-            delta = delta * (cache.masks[layer] / cache.keep_prob)
-        # act > 0 exactly where pre > 0 on kept units (1/keep_prob >= 1), and
+            delta = delta * cache.masks[layer]
+        # act > 0 exactly where pre > 0 on kept units (mask 1/keep > 0), and
         # delta is already +-0 on dropped ones
         delta = delta * (cache.act[layer] > 0.0)
         inputs = cache.act[layer - 1] if layer > 0 else cache.x
@@ -411,14 +406,15 @@ def _ensemble_passes(model: MlpModel, x: np.ndarray, cfg: RunConfig, seed: int):
     widths = model.layer_widths
     if not widths:
         raise ConfigurationError("dropout ensembles need at least one hidden layer")
-    keep = cfg.ensemble_dropout
-    return _passes(model, x, sample_dropout_masks(cfg.ensemble_passes, keep, widths, seed), keep)
+    masks = sample_dropout_masks(cfg.ensemble_passes, cfg.ensemble_dropout, widths, seed)
+    return _passes(model, x, masks)
 
 
 def _refresh_margins(model: MlpModel, dataset: Dataset, cfg: RunConfig, rng: np.random.Generator) -> None:
-    # Probability-space variances sit two orders of magnitude below the scale
-    # the floor-based margin map expects, so a configurable gain is applied
-    # before the map; zero uncertainty still yields margin 1.
+    # A class uncertainty is a probability variance plus 1/tau, at most
+    # 0.25 + 1/tau, while the map max(1, floor(0.5 u)) first exceeds 1 at
+    # u = 4: at the default gain of 1 every margin is 1 (the m = 1 loss), and
+    # train.uncertainty_scale is the gain that reaches the larger margins.
     seed = int(rng.integers(0, 2**63))
     u = ensemble_class_uncertainty(model, dataset, cfg, seed)
     model.classifier.class_uncertainty = u
@@ -436,9 +432,7 @@ def _init_cluster_state(model: MlpModel, dataset: Dataset, cfg: RunConfig) -> Cl
     for k in range(dataset.n_classes):
         rows = feats[dataset.labels == k]
         centers[k] = rows.mean(axis=0) if rows.shape[0] else global_mean
-    return ClusterState.coupled(
-        centers, lam=cfg.cluster_lambda, s=cfg.cluster_s, alpha=cfg.cluster_alpha
-    )
+    return ClusterState(centers, lam=cfg.cluster_lambda, s=cfg.cluster_s, alpha=cfg.cluster_alpha)
 
 
 def _batch_ccdfs(
@@ -555,7 +549,6 @@ def _run_phase(
             _refresh_margins(model, dataset, cfg, state.ensemble)
         if cfg.train_loss == "hybrid-cluster" and state.cluster is None:
             state.cluster = _init_cluster_state(model, dataset, cfg)
-    keep = cfg.ensemble_dropout
     n = dataset.n_samples
     for _ in range(n_epochs):
         order = state.shuffle.permutation(n)
@@ -564,12 +557,9 @@ def _run_phase(
             idx = order[start : start + cfg.train_batch_size]
             xb = dataset.features[idx]
             yb = dataset.labels[idx]
-            # per-sample Bernoulli(keep) masks, standard SGD dropout
-            masks = [
-                (state.dropout.random((idx.size, w)) < keep).astype(np.float64)
-                for w in model.layer_widths
-            ]
-            cache = forward(model, xb, masks, keep)
+            # per-sample masks, standard SGD dropout
+            masks = dropout_masks(state.dropout, cfg.ensemble_dropout, model.layer_widths, (idx.size,))
+            cache = forward(model, xb, masks)
             value, grad_feature, grad_classifier = _batch_loss(state, cache, xb, yb, cfg, phase)
             if not np.isfinite(value) or value > MAX_LOSS:
                 raise TrainingDivergenceError(f"loss {value!r} diverged", len(state.records))

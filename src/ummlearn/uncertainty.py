@@ -26,22 +26,27 @@ logger = logging.getLogger(__name__)
 _erf = np.vectorize(math.erf, otypes=[np.float64])
 
 
+def dropout_masks(rng: np.random.Generator, keep_prob: float, layer_widths, rows=()) -> list[np.ndarray]:
+    """One dropout sub-network: per layer, a mask of shape ``rows + (width,)`` drawn from ``rng``.
+
+    Each unit is kept independently with probability ``keep_prob``; a mask
+    holds the factor that inverted dropout applies, 0 for a dropped unit and
+    1/``keep_prob`` for a kept one. Layers are drawn in order, one
+    ``rng.random`` call each.
+    """
+    return [(rng.random((*rows, w)) < keep_prob) / keep_prob for w in layer_widths]
+
+
 def sample_dropout_masks(
     n_passes: int, keep_prob: float, layer_widths, rng_seed: int
 ) -> list[list[np.ndarray]]:
-    """``n_passes`` independent mask collections, one 0/1 float vector per layer.
-
-    Each unit is kept independently with probability ``keep_prob``; the draw
-    is fully determined by ``rng_seed``.
-    """
+    """``n_passes`` independent ``dropout_masks``, one (width,) mask per layer,
+    shared by every input row; the draw is fully determined by ``rng_seed``."""
     widths = [int(w) for w in layer_widths]
     if any(w <= 0 for w in widths):
         raise ParameterError(f"layer widths must be positive, got {widths!r}")
     rng = np.random.default_rng(rng_seed)
-    return [
-        [(rng.random(w) < keep_prob).astype(np.float64) for w in widths]
-        for _ in range(n_passes)
-    ]
+    return [dropout_masks(rng, keep_prob, widths) for _ in range(n_passes)]
 
 
 def class_uncertainty(values, labels, n_classes: int) -> np.ndarray:

@@ -122,7 +122,7 @@ class TestCriterion1GradientSuite:
                 "inter-class margin + regularizer",
                 lambda st, ft, lb: (
                     lambda x: inter_class_margin_loss(
-                        ClusterState.coupled(x.reshape(4, 3), lam=st.lam, s=st.s)
+                        ClusterState(x.reshape(4, 3), lam=st.lam, s=st.s)
                     )[0],
                     inter_class_margin_loss(st)[1],
                     st.centers.ravel(),
@@ -183,7 +183,7 @@ class TestCriterion2ReductionIdentities:
 
         worst_cl = 0.0
         for _ in range(50):
-            state = ClusterState.coupled(rng.standard_normal((4, 3)), lam=0.1, s=1e9)
+            state = ClusterState(rng.standard_normal((4, 3)), lam=0.1, s=1e9)
             feats = rng.standard_normal((8, 3))
             labels = rng.integers(0, 4, 8)
             value, _ = clustering_loss(state, feats, labels)

@@ -392,6 +392,19 @@ class TestReportingCommands:
         err = capsys.readouterr().err
         assert str(model) in err and name in err
 
+    @pytest.mark.parametrize("command", ["eval", "uncertainty", "features2d"])
+    @pytest.mark.parametrize("bad", [2.5, np.nan], ids=["fractional", "nan"])
+    def test_model_non_integer_margin_exit_code_2(self, command, bad, run_dir, tmp_path, capsys):
+        # a margin is a whole number: 2.5 must not load as margin 2
+        model = tmp_path / "broken.npz"
+        with np.load(run_dir / "model.npz") as archive:
+            margins = archive["margins"].astype(np.float64)
+        margins[0] = bad
+        self.write_model(model, run_dir, margins=margins)
+        assert main([command, "--model", str(model), "--data", str(run_dir / "test.csv")]) == 2
+        err = capsys.readouterr().err
+        assert str(model) in err and "margins" in err
+
     def test_model_not_an_npz_exit_code_2(self, run_dir, tmp_path, capsys):
         model = tmp_path / "model.npz"
         model.write_text("not an archive\n")

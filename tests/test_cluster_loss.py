@@ -85,17 +85,17 @@ def seeded_center_states(seed, count=200):
         centers[rng.integers(1, n_classes)] = centers[0]
         feats = 3.0 * rng.standard_normal((batch, dim))
         labels = rng.integers(0, n_classes - 1, batch)
-        yield ClusterState.coupled(centers, lam=float(rng.choice([1.0, 5.0, 10.0]))), feats, labels
+        yield ClusterState(centers, lam=float(rng.choice([1.0, 5.0, 10.0]))), feats, labels
 
 
 class TestClusterState:
     def test_coupled_constructor_ties_gamma(self):
-        state = ClusterState.coupled(np.zeros((3, 2)), lam=10.0, s=4.0)
-        assert state.gamma == pytest.approx(10.0 / 4.0)
+        state = ClusterState(np.zeros((3, 2)), lam=10.0, s=4.0)
+        assert state.gamma == 10.0 / 4.0
 
     def test_s_must_exceed_two(self):
         with pytest.raises(ParameterError):
-            ClusterState.coupled(np.zeros((3, 2)), lam=1.0, s=2.0)
+            ClusterState(np.zeros((3, 2)), lam=1.0, s=2.0)
 
     def test_alpha_range(self):
         with pytest.raises(ParameterError):
@@ -111,13 +111,14 @@ class TestClusteringLoss:
         np.testing.assert_array_equal(grad, np.zeros_like(feats))
 
     def test_hand_value_three_four(self):
-        state = ClusterState(np.array([[0.0, 0.0], [9.0, 9.0]]), gamma=0.0)
+        # half squared distance 12.5 less the slack gamma = 2 / 4
+        state = ClusterState(np.array([[0.0, 0.0], [9.0, 9.0]]), lam=2.0, s=4.0)
         value, grad = clustering_loss(state, np.array([[3.0, 4.0]]), [0])
-        assert value == pytest.approx(12.5)
+        assert value == pytest.approx(12.0)
         np.testing.assert_allclose(grad, [[3.0, 4.0]])
 
     def test_margin_absorbs_distance(self):
-        state = ClusterState(np.array([[0.0, 0.0], [9.0, 9.0]]), gamma=13.0)
+        state = ClusterState(np.array([[0.0, 0.0], [9.0, 9.0]]), lam=52.0, s=4.0)
         value, grad = clustering_loss(state, np.array([[3.0, 4.0]]), [0])
         assert value == 0.0
         np.testing.assert_array_equal(grad, np.zeros((1, 2)))
@@ -126,7 +127,7 @@ class TestClusteringLoss:
         # gamma = lam / s -> 0 as s grows; deviation from the plain
         # half-squared-distance sum is bounded by batch_size * gamma
         rng = np.random.default_rng(33)
-        state0 = ClusterState.coupled(rng.standard_normal((4, 3)), lam=0.1, s=1e9)
+        state0 = ClusterState(rng.standard_normal((4, 3)), lam=0.1, s=1e9)
         feats = rng.standard_normal((8, 3))
         labels = rng.integers(0, 4, 8)
         value, _ = clustering_loss(state0, feats, labels)
@@ -136,7 +137,7 @@ class TestClusteringLoss:
     def test_deviation_bounded_by_batch_gamma(self):
         rng = np.random.default_rng(34)
         for _ in range(20):
-            state = ClusterState.coupled(2.0 * rng.standard_normal((4, 3)), lam=2.0, s=4.0)
+            state = ClusterState(2.0 * rng.standard_normal((4, 3)), lam=2.0, s=4.0)
             feats = 2.0 * rng.standard_normal((6, 3))
             labels = rng.integers(0, 4, 6)
             value, _ = clustering_loss(state, feats, labels)
@@ -244,7 +245,7 @@ class TestInterClassMarginLoss:
     def test_zero_when_separated_and_equidistant(self):
         h = np.sqrt(3.0) / 2.0
         centers = 10.0 * np.array([[0.0, 0.0], [1.0, 0.0], [0.5, h]])
-        state = ClusterState.coupled(centers, lam=5.0, s=4.0)
+        state = ClusterState(centers, lam=5.0, s=4.0)
         value, grad = inter_class_margin_loss(state)
         assert value == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(grad, 0.0, atol=1e-12)
@@ -252,7 +253,7 @@ class TestInterClassMarginLoss:
     def test_single_hinge_hand_value(self):
         lam = 4.0
         centers = np.array([[0.0, 0.0], [lam / 2.0, 0.0]])
-        state = ClusterState.coupled(centers, lam=lam, s=4.0)
+        state = ClusterState(centers, lam=lam, s=4.0)
         value, _ = inter_class_margin_loss(state)
         assert value == pytest.approx(lam / 2.0, abs=1e-12)  # R = 0 for C = 2
 
@@ -261,14 +262,14 @@ class TestInterClassMarginLoss:
         checked = 0
         while checked < 20:
             centers = 2.0 * rng.standard_normal((4, 3))
-            state = ClusterState.coupled(centers, lam=2.0, s=4.0)
+            state = ClusterState(centers, lam=2.0, s=4.0)
             iu, ju = np.triu_indices(4, k=1)
             dists = np.linalg.norm(centers[iu] - centers[ju], axis=1)
             if np.any(np.abs(2.0 - dists) < 1e-3):
                 continue
             _, grad = inter_class_margin_loss(state)
             value = lambda x: inter_class_margin_loss(
-                ClusterState.coupled(x.reshape(4, 3), lam=2.0, s=4.0)
+                ClusterState(x.reshape(4, 3), lam=2.0, s=4.0)
             )[0]
             report = check(value, grad, centers.ravel())
             assert report.passed, str(report)
@@ -276,7 +277,7 @@ class TestInterClassMarginLoss:
 
     def test_coincident_centers_zero_subgradient(self):
         centers = np.array([[1.0, 1.0], [1.0, 1.0], [5.0, 5.0]])
-        state = ClusterState.coupled(centers, lam=2.0, s=4.0)
+        state = ClusterState(centers, lam=2.0, s=4.0)
         value, grad = inter_class_margin_loss(state)
         assert np.isfinite(value)
         assert np.all(np.isfinite(grad))
@@ -289,7 +290,7 @@ class TestHybridLoss:
     def test_zero_constituents(self):
         h = np.sqrt(3.0) / 2.0
         centers = 10.0 * np.array([[0.0, 0.0], [1.0, 0.0], [0.5, h]])
-        state = ClusterState.coupled(centers, lam=5.0, s=4.0)
+        state = ClusterState(centers, lam=5.0, s=4.0)
         feats = state.centers[[0, 1, 2]]
         value, gf, gc = hybrid_loss(state, feats, [0, 1, 2])
         assert value == pytest.approx(0.0, abs=1e-12)
@@ -297,7 +298,7 @@ class TestHybridLoss:
     def test_additivity(self):
         rng = np.random.default_rng(41)
         for _ in range(10):
-            state = ClusterState.coupled(2.0 * rng.standard_normal((4, 3)), lam=2.0, s=4.0)
+            state = ClusterState(2.0 * rng.standard_normal((4, 3)), lam=2.0, s=4.0)
             feats = 2.0 * rng.standard_normal((6, 3))
             labels = rng.integers(0, 4, 6)
             total, _, _ = hybrid_loss(state, feats, labels)
@@ -315,7 +316,7 @@ class TestHybridLoss:
             _, gf, gc = hybrid_loss(state, feats, labels)
             value_f = lambda x: hybrid_loss(state, x.reshape(feats.shape), labels)[0]
             value_c = lambda x: inter_class_margin_loss(
-                ClusterState.coupled(x.reshape(state.centers.shape), lam=state.lam, s=state.s)
+                ClusterState(x.reshape(state.centers.shape), lam=state.lam, s=state.s)
             )[0]
             for report in (
                 check(value_f, gf, feats.ravel()),

@@ -100,6 +100,15 @@ class TestClassMargin:
         with pytest.raises(ParameterError):
             class_margin_from_uncertainty(-1.0)
 
+    @pytest.mark.parametrize("margins", [[2.5, 1], [np.nan, 1], [np.inf, 1], [0, 1], [M_MAX + 1, 1]])
+    def test_state_rejects_non_integer_or_out_of_range(self, margins):
+        with pytest.raises(ParameterError, match="margins"):
+            ClassifierState(np.eye(2), margins)
+
+    def test_state_keeps_integer_margins(self):
+        state = ClassifierState(np.eye(2), np.array([2.0, M_MAX]))
+        assert state.margins.dtype == np.int64 and state.margins.tolist() == [2, M_MAX]
+
 
 class TestLargeMarginSoftmax:
     def test_m1_equals_softmax(self):

@@ -41,14 +41,14 @@ def small_model(seed=0, hidden=(8, 8), d=2, c=3):
     return MlpModel.init(d, hidden, c, stream_rng(seed, "init"))
 
 
-def reference_chain(model, x, masks=None, keep=1.0):
+def reference_chain(model, x, masks=None):
     """The pass arithmetic written out: (pre-activations, activations, feature, logits)."""
     h, pres, acts = x, [], []
     for layer, (w, b) in enumerate(zip(model.hidden_weights, model.hidden_biases)):
         pres.append(h @ w.T + b)
         h = np.maximum(pres[-1], 0)
         if masks is not None:
-            h = h * (masks[layer] / keep)
+            h = h * masks[layer]
         acts.append(h)
     return pres, acts, h, h @ model.classifier.weights.T
 
@@ -60,15 +60,15 @@ class TestForward:
             w[:] = 0.0
         model.classifier.weights[:] = 0.0
         cache = forward(model, np.ones(2))
-        np.testing.assert_array_equal(cache.logits, np.zeros((1, 3)))
+        np.testing.assert_array_equal(cache.feature @ model.classifier.weights.T, np.zeros((1, 3)))
 
     def test_no_dropout_equals_keep_prob_one_limit(self):
         model = small_model()
         x = np.array([0.3, -0.7])
-        plain = forward(model, x).logits
+        plain = forward(model, x).feature @ model.classifier.weights.T
         keep = 1 - 1e-9
-        masks = [np.ones(8), np.ones(8)]
-        masked = forward(model, x, masks, keep).logits
+        masks = [np.ones(8) / keep, np.ones(8) / keep]
+        masked = forward(model, x, masks).feature @ model.classifier.weights.T
         np.testing.assert_allclose(masked, plain, atol=1e-6)
 
     def test_matches_bruteforce_matrix_chain(self):
@@ -80,7 +80,7 @@ class TestForward:
         for w, b in zip(model.hidden_weights, model.hidden_biases):
             h = np.maximum(h @ w.T + b, 0.0)
         expected = h @ model.classifier.weights.T
-        np.testing.assert_allclose(cache.logits, expected, atol=1e-12)
+        np.testing.assert_allclose(cache.feature @ model.classifier.weights.T, expected, atol=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
@@ -137,37 +137,36 @@ class TestPassKernel:
         keep = float(rng.uniform(0.2, 0.9))
         shapes = {"none": None, "per-sample": (x.shape[0],), "shared": ()}[masking]
         masks = None if shapes is None else [
-            (rng.random(shapes + (w,)) < keep).astype(np.float64) for w in model.layer_widths
+            (rng.random(shapes + (w,)) < keep) / keep for w in model.layer_widths
         ]
-        cache = forward(model, x, masks, keep)
-        _, acts, feature, logits = reference_chain(model, x, masks, keep)
-        for got, want in zip(cache.act + [cache.feature, cache.logits], acts + [feature, logits]):
+        cache = forward(model, x, masks)
+        _, acts, feature, _ = reference_chain(model, x, masks)
+        for got, want in zip(cache.act + [cache.feature], acts + [feature]):
             assert got.tobytes() == want.tobytes()
 
     def test_forward_without_hidden_layers(self):
         model, x, _ = self.random_case(0, ())
-        for cache in (forward(model, x), forward(model, x, [], 0.5)):
+        for cache in (forward(model, x), forward(model, x, [])):
             assert cache.act == [] and cache.feature.tobytes() == x.tobytes()
-            assert cache.logits.tobytes() == (x @ model.classifier.weights.T).tobytes()
 
     @pytest.mark.parametrize("seed", range(8))
     def test_backward_matches_pre_activation_reference(self, seed):
         model, x, rng = self.random_case(seed, (9, 6))
         keep = 0.5
-        masks = [(rng.random((x.shape[0], w)) < keep).astype(np.float64) for w in model.layer_widths]
-        pres, acts, feature, _ = reference_chain(model, x, masks, keep)
+        masks = [(rng.random((x.shape[0], w)) < keep) / keep for w in model.layer_widths]
+        pres, acts, feature, _ = reference_chain(model, x, masks)
         # dropped units whose pre-activation is positive: only the mask zeroes them
         assert any(((m == 0) & (p > 0)).any() for m, p in zip(masks, pres))
         upstream = rng.standard_normal(feature.shape)
         delta, want_w, want_b = upstream, [], []
         for layer in reversed(range(len(pres))):
-            delta = delta * (masks[layer] / keep)
+            delta = delta * masks[layer]
             delta = delta * (pres[layer] > 0.0)
             inputs = acts[layer - 1] if layer > 0 else x
             want_w.insert(0, delta.T @ inputs)
             want_b.insert(0, delta.sum(axis=0))
             delta = delta @ model.hidden_weights[layer]
-        grads = backward(model, forward(model, x, masks, keep), upstream)
+        grads = backward(model, forward(model, x, masks), upstream)
         for got, want in zip(grads.hidden_weights + grads.hidden_biases, want_w + want_b):
             assert got.tobytes() == want.tobytes()
 
@@ -213,7 +212,7 @@ class TestEvaluate:
         rng = np.random.default_rng(6)
         ds = Dataset.from_arrays(rng.standard_normal((20, 2)), rng.integers(0, 3, 20), 3)
         preds = evaluate(model, ds)
-        logits = forward(model, ds.features).logits
+        logits = forward(model, ds.features).feature @ model.classifier.weights.T
         expected = [int(np.argmax(row)) for row in logits]
         np.testing.assert_array_equal(preds, expected)
 
@@ -353,9 +352,9 @@ class TestDropoutPlumbing:
         model = small_model(9)
         masks = sample_dropout_masks(2, 0.5, model.layer_widths, rng_seed=5)
         x = np.ones((6, 2))
-        out = forward(model, x, masks[0], 0.5)
+        logits = forward(model, x, masks[0]).feature @ model.classifier.weights.T
         # one sub-network per pass: identical inputs give identical rows
-        np.testing.assert_allclose(out.logits, np.tile(out.logits[0], (6, 1)))
+        np.testing.assert_allclose(logits, np.tile(logits[0], (6, 1)))
 
 
 class TestEnsembleAgainstForward:
@@ -381,7 +380,7 @@ class TestEnsembleAgainstForward:
     def reference_passes(model, x, cfg, seed):
         """(feature, logits) of each pass."""
         masks = sample_dropout_masks(cfg.ensemble_passes, cfg.ensemble_dropout, model.layer_widths, seed)
-        return [reference_chain(model, x, m, cfg.ensemble_dropout)[2:] for m in masks]
+        return [reference_chain(model, x, m)[2:] for m in masks]
 
     @pytest.mark.parametrize("seed", range(24))
     def test_class_uncertainty(self, seed):

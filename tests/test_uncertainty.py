@@ -11,6 +11,7 @@ from ummlearn.network import MlpModel, RunConfig, ensemble_class_uncertainty
 from ummlearn.seeding import stream_rng, stream_seed
 from ummlearn.uncertainty import (
     class_uncertainty,
+    dropout_masks,
     error_moments,
     misclassification_ccdf,
     rival_class,
@@ -37,12 +38,43 @@ class TestEnsembleConfig:
             RunConfig(ensemble_tau=0.0)
 
 
+def old_layer_draws(rng, keep, widths, rows=()):
+    """The per-layer 0/1 draws that masks were made of, scaled by 1/keep."""
+    return [(rng.random(rows + (w,)) < keep).astype(np.float64) / keep for w in widths]
+
+
+class TestDropoutMasks:
+    @pytest.mark.parametrize("rows", [(), (1,), (17,)])
+    @pytest.mark.parametrize("keep", [0.3, 0.5, 1 - 1e-9])
+    def test_equals_per_layer_draws_and_stream_state(self, rows, keep):
+        widths = [7, 1, 32]
+        rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+        for _ in range(3):
+            got = dropout_masks(rng, keep, widths, rows)
+            want = old_layer_draws(ref, keep, widths, rows)
+            assert [m.shape for m in got] == [rows + (w,) for w in widths]
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_holds_zero_or_inverse_keep(self):
+        (m,) = dropout_masks(np.random.default_rng(3), 0.3, [1000], (4,))
+        assert set(np.unique(m)) == {0.0, 1 / 0.3}
+
+
 class TestSampleDropoutMasks:
     def test_keep_probability_near_one(self):
-        masks = sample_dropout_masks(3, 1 - 1e-9, [50, 30], rng_seed=1)
+        keep = 1 - 1e-9
+        masks = sample_dropout_masks(3, keep, [50, 30], rng_seed=1)
         for pass_masks in masks:
             for m in pass_masks:
-                np.testing.assert_array_equal(m, np.ones_like(m))
+                np.testing.assert_array_equal(m, np.full_like(m, 1 / keep))
+
+    def test_equals_per_layer_draws(self):
+        masks = sample_dropout_masks(4, 0.5, [10, 20], rng_seed=99)
+        rng = np.random.default_rng(99)
+        for pass_masks in masks:
+            for got, want in zip(pass_masks, old_layer_draws(rng, 0.5, [10, 20])):
+                assert got.tobytes() == want.tobytes()
 
     def test_deterministic_per_seed(self):
         a = sample_dropout_masks(4, 0.5, [10, 20], rng_seed=99)
@@ -53,7 +85,7 @@ class TestSampleDropoutMasks:
 
     def test_empirical_keep_fraction(self):
         masks = sample_dropout_masks(2, 0.5, [100_000], rng_seed=7)
-        frac = masks[0][0].mean()
+        frac = (masks[0][0] > 0).mean()
         assert abs(frac - 0.5) < 0.01
 
     def test_bad_widths(self):
