@@ -335,11 +335,20 @@ def cmd_sweep(args) -> int:
             f"--dropouts {args.dropouts!r}"
         )
 
+    # only runs of one (dropout, seed) can share a curriculum prefix, so
+    # each such group trains on its own, in its own worker when there are CPUs
+    groups: dict[tuple, list] = {}
+    for i, (_, p, seed, run_cfg) in enumerate(runs):
+        groups.setdefault((p, seed), []).append((i, run_cfg))
+    results = _map_groups(list(groups.values()))
+    failures = [failure for _, failure in results if failure]
+    if failures:  # the failure a serial sweep would meet first
+        raise min(failures, key=lambda failure: failure[0])[1]
+    finals = dict(pair for done, _ in results for pair in done)
+
     rows = []  # (loss, dropout, seed, metric, value)
-    prefixes = {}  # runs that share a curriculum prefix train it once
-    for token, p, seed, run_cfg in runs:
-        _, records = run_training(run_cfg, *build_datasets(run_cfg), prefixes)
-        final = records[-1]
+    for i, (token, p, seed, _) in enumerate(runs):
+        final = finals[i]
         rows.append((token, p, seed, "accuracy", final.accuracy))
         rows.append((token, p, seed, "bca", final.bca))
         rows.append((token, p, seed, "g_mean", final.g_mean))
@@ -361,6 +370,48 @@ def cmd_sweep(args) -> int:
     atomic_write_text(out / "sweep.csv", "\n".join(lines) + "\n")
     print(f"sweep complete: {out / 'sweep.csv'}")
     return 0
+
+
+def _train_group(group: list) -> tuple[list, tuple | None]:
+    """Train one prefix group's (run index, config) pairs in order, sharing their prefixes.
+
+    Returns the (run index, final record) pairs trained, and the group's first
+    failure as (run index, exception), or None; a failure ends the group.
+    """
+    prefixes, done = {}, []
+    for i, run_cfg in group:
+        try:
+            _, records = run_training(run_cfg, *build_datasets(run_cfg), prefixes)
+        except Exception as exc:
+            return done, (i, exc)
+        done.append((i, records[-1]))
+    return done, None
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set, where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_groups(groups: list) -> list:
+    """``_train_group`` over the groups: in forked workers, one per usable CPU, or in-process.
+
+    The pool modules are imported only here, so that the other commands do
+    not pay for their import.
+    """
+    workers = min(_usable_cpus(), len(groups))
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+
+            context = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(workers, mp_context=context) as pool:
+                return list(pool.map(_train_group, groups))
+    return list(map(_train_group, groups))
 
 
 # ---------------------------------------------------------------------------

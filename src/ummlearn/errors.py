@@ -43,3 +43,8 @@ class TrainingDivergenceError(RuntimeError):
     def __init__(self, message: str, epoch: int):
         super().__init__(f"epoch {epoch}: {message}")
         self.epoch = epoch
+
+    def __reduce__(self):
+        # pickle the constructor's arguments, not the formatted text in args:
+        # a sweep worker sends its failure to the parent by pickle
+        return type(self), (str(self).removeprefix(f"epoch {self.epoch}: "), self.epoch)

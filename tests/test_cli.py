@@ -1,5 +1,9 @@
 """End-to-end CLI: config parsing, commands, exit codes, reproducibility."""
 
+import multiprocessing
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +11,7 @@ import pytest
 
 from ummlearn.cli import RunConfig, build_datasets, config_lines, main, parse_config
 from ummlearn.data import load_csv
-from ummlearn.errors import ConfigurationError
+from ummlearn.errors import ConfigurationError, TrainingDivergenceError
 from ummlearn.network import LOSS_CHOICES, load_model
 
 SMALL_CONFIG = """
@@ -489,6 +493,7 @@ class TestSweepCommand:
 
         path = tmp_path / "longtail.cfg"
         path.write_text(TINY_LONGTAIL + extra)
+        monkeypatch.setattr(ummlearn.cli, "_usable_cpus", lambda: 1)  # count the steps in-process
         plain_train, plain_step, steps = ummlearn.network.train, ummlearn.network.sgd_step, []
         monkeypatch.setattr(ummlearn.network, "sgd_step", lambda *a: steps.append(1) or plain_step(*a))
 
@@ -507,6 +512,74 @@ class TestSweepCommand:
         plain, plain_steps = sweep("plain")
         assert forked == plain
         assert forked_steps < plain_steps  # the shared prefixes trained once
+
+    def test_worker_count_does_not_change_bytes(self, tmp_path, monkeypatch):
+        import ummlearn.cli
+        import ummlearn.network
+
+        path = tmp_path / "longtail.cfg"
+        path.write_text(TINY_LONGTAIL)
+        plain_step, steps = ummlearn.network.sgd_step, []
+        monkeypatch.setattr(ummlearn.network, "sgd_step", lambda *a: steps.append(1) or plain_step(*a))
+
+        def sweep(workers, losses="softmax,umm,umm-sum,hybrid", dropouts="0.3,0.5", seeds=("0", "2")):
+            steps.clear()
+            monkeypatch.setattr(ummlearn.cli, "_usable_cpus", lambda: workers)
+            out = tmp_path / f"{workers}-{losses}-{dropouts}-{seeds[0]}"
+            assert main(["sweep", "--config", str(path), "--out", str(out), "--seed", seeds[0],
+                         "--seeds", seeds[1], "--losses", losses, "--dropouts", dropouts]) == 0
+            return (out / "sweep.csv").read_bytes(), len(steps)
+
+        serial, serial_steps = sweep(1)
+        fanned, fanned_steps = sweep(2)
+        assert serial == fanned
+        assert serial_steps > 0
+        # forked workers step their own copies of the counter, so none shows here
+        assert (fanned_steps == 0) == ("fork" in multiprocessing.get_all_start_methods())
+
+        def run_rows(csv):
+            return [line for line in csv.splitlines()[1:] if b",mean," not in line and b",std," not in line]
+
+        # every run's rows are its own: the same as when the run is swept alone
+        alone = [
+            run_rows(sweep(1, loss, p, (seed, "1"))[0])
+            for loss in ("softmax", "umm", "umm-sum", "hybrid") for p in ("0.3", "0.5") for seed in ("0", "1")
+        ]
+        assert sum(alone, []) == run_rows(serial)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_first_failure_in_run_order_is_raised(self, workers, config_path, tmp_path, monkeypatch, capsys):
+        import ummlearn.cli
+
+        # runs go (loss, dropout, seed); groups go (dropout, seed). Group
+        # (0.3, 5) fails at run 4 and group (0.5, 6) at run 3, so the first
+        # group's failure is not the one a serial sweep meets first.
+        failing = {("hybrid-cluster", 0.3, 5), ("softmax", 0.5, 6), ("hybrid-cluster", 0.5, 6)}
+        plain_run = ummlearn.cli.run_training
+
+        def run_training(cfg, *args):
+            if (cfg.train_loss, cfg.ensemble_dropout, cfg.seed) in failing:
+                raise TrainingDivergenceError(f"{cfg.train_loss} at {cfg.ensemble_dropout}/{cfg.seed}", 2)
+            return plain_run(cfg, *args)
+
+        monkeypatch.setattr(ummlearn.cli, "run_training", run_training)
+        monkeypatch.setattr(ummlearn.cli, "_usable_cpus", lambda: workers)
+        out = tmp_path / "x"
+        code = main(["sweep", "--config", str(config_path), "--out", str(out), "--seeds", "2",
+                     "--losses", "softmax,hybrid", "--dropouts", "0.3,0.5"])
+        assert code == 1
+        assert capsys.readouterr().err == "training diverged: epoch 2: softmax at 0.5/6\n"
+        assert not (out / "sweep.csv").exists()
+
+    def test_cli_import_leaves_out_the_pool_modules(self):
+        # only a sweep with more than one worker needs them; they cost every command set-up time
+        import ummlearn
+
+        src = Path(ummlearn.__file__).resolve().parent.parent
+        code = "import sys, ummlearn.cli; print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert proc.stdout == "[]\n"
 
     def test_every_run_checked_before_training(self, no_training, tmp_path, capsys):
         path = tmp_path / "linear.cfg"
