@@ -58,6 +58,7 @@ from .network import (
     save_model,
     sgd_step,
     train,
+    train_runs,
 )
 from .numerics import M_MAX, DenseMatrix, DenseVector
 from .seeding import stream_rng, stream_seed

@@ -15,6 +15,7 @@ import math
 import os
 import sys
 import tempfile
+import traceback
 from contextlib import contextmanager
 from dataclasses import fields, replace
 from pathlib import Path
@@ -35,6 +36,7 @@ from .network import (
     load_model,
     save_model,
     train,
+    train_runs,
 )
 from .seeding import stream_rng, stream_seed
 
@@ -182,20 +184,9 @@ def metrics_csv_text(records: list[EpochRecord], n_classes: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_training(
-    cfg: RunConfig,
-    train_ds: data_mod.Dataset,
-    test_ds: data_mod.Dataset | None,
-    prefixes: dict | None = None,
-):
-    """Initialize the model from the config and train it; returns (model, records).
-
-    ``prefixes`` is the sweep's cache of training states (see ``train``).
-    """
-    model = MlpModel.init(
-        train_ds.dim, cfg.model_hidden, train_ds.n_classes, stream_rng(cfg.seed, "init")
-    )
-    return train(model, train_ds, cfg, test_ds, prefixes)
+def _initial_model(cfg: RunConfig, train_ds: data_mod.Dataset) -> MlpModel:
+    """The untrained model of a run: ``model.hidden`` layers, initialized from the seed."""
+    return MlpModel.init(train_ds.dim, cfg.model_hidden, train_ds.n_classes, stream_rng(cfg.seed, "init"))
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +199,7 @@ def cmd_train(args) -> int:
     train_ds, test_ds = build_datasets(cfg)  # a rejected CSV exits before any file is written
     out = Path(args.out)
     atomic_write_text(out / "config.txt", "\n".join(config_lines(cfg)) + "\n")
-    model, records = run_training(cfg, train_ds, test_ds)
+    model, records = train(_initial_model(cfg, train_ds), train_ds, cfg, test_ds)
     atomic_write_text(out / "metrics.csv", metrics_csv_text(records, train_ds.n_classes))
     with atomic_path(out / "model.npz") as tmp, open(tmp, "wb") as fh:
         save_model(model, fh)  # a file handle: np.savez would append .npz to the temp name
@@ -343,7 +334,10 @@ def cmd_sweep(args) -> int:
     results = _map_groups(list(groups.values()))
     failures = [failure for _, failure in results if failure]
     if failures:  # the failure a serial sweep would meet first
-        raise min(failures, key=lambda failure: failure[0])[1]
+        _, exc, worker_traceback = min(failures, key=lambda failure: failure[0])
+        if exc.__traceback__ is None:  # pickled back from a worker, which drops its frames
+            raise exc from _WorkerTraceback(worker_traceback)
+        raise exc
     finals = dict(pair for done, _ in results for pair in done)
 
     rows = []  # (loss, dropout, seed, metric, value)
@@ -373,19 +367,26 @@ def cmd_sweep(args) -> int:
 
 
 def _train_group(group: list) -> tuple[list, tuple | None]:
-    """Train one prefix group's (run index, config) pairs in order, sharing their prefixes.
+    """Train one prefix group's (run index, config) pairs in order, in one ``train_runs`` call.
 
-    Returns the (run index, final record) pairs trained, and the group's first
-    failure as (run index, exception), or None; a failure ends the group.
+    Its runs differ only in ``train`` fields, so they share one data set and initial
+    model. Returns the (run index, final record) pairs trained and the first failure
+    (run index, exception, formatted traceback), which ends the group, or None.
     """
-    prefixes, done = {}, []
-    for i, run_cfg in group:
-        try:
-            _, records = run_training(run_cfg, *build_datasets(run_cfg), prefixes)
-        except Exception as exc:
-            return done, (i, exc)
-        done.append((i, records[-1]))
+    indices, cfgs = zip(*group)
+    done = []
+    try:
+        train_ds, test_ds = build_datasets(cfgs[0])
+        runs = train_runs(_initial_model(cfgs[0], train_ds), train_ds, cfgs, test_ds)
+        for i, (_, records) in zip(indices, runs):
+            done.append((i, records[-1]))
+    except Exception as exc:
+        return done, (indices[len(done)], exc, traceback.format_exc())
     return done, None
+
+
+class _WorkerTraceback(Exception):
+    """A sweep worker's formatted traceback, chained as the cause of the error it returned."""
 
 
 def _usable_cpus() -> int:

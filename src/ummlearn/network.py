@@ -22,19 +22,18 @@ centers and the epoch records. A phase reads nothing from earlier phases but
 that state, so a deep copy taken at a phase boundary resumes bit-identically.
 The state at a boundary is the final state of the run truncated there: its
 phase-1 state is that of the same run with ``train.loss=softmax`` and no
-later epochs, its phase-2 state that of the run without phase-3 epochs. Keyed
-by that truncated run, ``train`` can take such a state from a cache that a
-sweep passes to all of its runs, so runs that differ only in their loss train
-phase 1 once.
+later epochs, its phase-2 state that of the run without phase-3 epochs.
+``train_runs`` trains several configs from one initial model on one data
+set, so within one call that truncated config alone keys the state: runs
+that differ only in their loss train phase 1 once. A state is kept only
+while a later run of the call resumes from it; nothing outlives the call.
 """
 
 from __future__ import annotations
 
 import copy
-import hashlib
 import math
 import os
-import pickle
 import zipfile
 from dataclasses import dataclass, field, replace
 
@@ -291,6 +290,7 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "model_hidden", tuple(self.model_hidden))  # hashable, as a key
         if self.data_kind not in ("binary", "longtail", "csv"):
             raise ConfigurationError(f"unknown data.kind {self.data_kind!r}")
         if self.data_kind == "csv" and not os.path.isfile(self.data_path):
@@ -480,60 +480,57 @@ def _epoch_record(
 
 
 def train(
-    model: MlpModel,
-    dataset: Dataset,
-    cfg: RunConfig,
-    eval_dataset: Dataset | None = None,
-    prefixes: dict | None = None,
+    model: MlpModel, dataset: Dataset, cfg: RunConfig, eval_dataset: Dataset | None = None
 ) -> tuple[MlpModel, list[EpochRecord]]:
-    """Train in place through the three-phase curriculum; returns (model, log).
+    """Train ``model`` in place through the curriculum; returns (model, log). See ``train_runs``."""
+    return next(train_runs(model, dataset, [cfg], eval_dataset))
+
+
+def train_runs(model: MlpModel, dataset: Dataset, cfgs, eval_dataset: Dataset | None = None):
+    """Yield (model, log) of one run per config of ``cfgs``, in order, each from the initial ``model``.
 
     Fully deterministic per (seed, config, dataset): every random draw comes
     from a named stream under cfg.seed. Raises TrainingDivergenceError when
-    a batch loss is non-finite or exceeds ``MAX_LOSS``.
-
-    ``prefixes`` is a cache that the runs of one sweep share. A run stores a
-    deep copy of its state at the phase-1 and phase-2 boundaries, each keyed
-    by a digest of its initial model and datasets and by the config of the
-    run truncated there: ``train.loss=softmax`` with no phase-2 or phase-3
-    epochs for phase 1, no phase-3 epochs for phase 2. Every other field is
-    part of both keys. A run starts from a copy of the deepest stored state
-    whose key it shares; such a run leaves ``model`` untouched and returns
-    the trained copy. Either way the result is bit-identical to training
-    without the cache.
+    a batch loss is non-finite or exceeds ``MAX_LOSS``. A run resumes from
+    the deepest phase boundary that an earlier run of the call reached with
+    its key (see the module docstring), bit-identically. A state is copied
+    only for a later run that resumes from it; the initial model likewise,
+    and the last run that trains its own phase 1 trains ``model`` itself.
     """
     if dataset.n_samples == 0:
         raise DimensionError("training dataset is empty")
     if dataset.n_classes != model.n_classes:
         raise DimensionError("dataset class count does not match the model")
     eval_ds = eval_dataset if eval_dataset is not None else dataset
-
-    keys, state = {}, None
-    if prefixes is not None:
-        inputs = hashlib.sha256(pickle.dumps((model, dataset, eval_ds))).digest()
-        keys = {
-            PHASE_SOFTMAX: (
-                inputs, replace(cfg, train_loss="softmax", train_epochs_umm=0, train_epochs_sum=0)
-            ),
-            PHASE_CLASS_MARGIN: (inputs, replace(cfg, train_epochs_sum=0)),
+    cfgs = list(cfgs)
+    keys = [
+        {
+            PHASE_SOFTMAX: replace(cfg, train_loss="softmax", train_epochs_umm=0, train_epochs_sum=0),
+            PHASE_CLASS_MARGIN: replace(cfg, train_epochs_sum=0),
         }
-        shared = [key for key in keys.values() if key in prefixes]
-        if shared:
-            state = copy.deepcopy(prefixes[shared[-1]])
-    if state is None:
-        streams = (stream_rng(cfg.seed, name) for name in ("shuffle", "dropout", "ensemble"))
-        state = TrainState(model, *streams)
+        for cfg in cfgs
+    ]
+    starts, reached = [], set()  # the key each run resumes from; None: the initial model
+    for run_keys in keys:
+        starts.append(next((key for key in reversed(run_keys.values()) if key in reached), None))
+        reached.update(run_keys.values())
 
-    phases = (
-        (PHASE_SOFTMAX, cfg.train_epochs_softmax),
-        (PHASE_CLASS_MARGIN, cfg.train_epochs_umm),
-        (PHASE_SAMPLE_WEIGHT, cfg.train_epochs_sum),
-    )
-    for phase, n_epochs in phases[state.phase :]:
-        _run_phase(state, phase, n_epochs, dataset, cfg, eval_ds)
-        if phase in keys and keys[phase] not in prefixes:
-            prefixes[keys[phase]] = copy.deepcopy(state)
-    return state.model, state.records
+    kept = {}  # boundary states that a later run resumes from
+    for i, cfg in enumerate(cfgs):
+        start, later = starts[i], starts[i + 1 :]
+        if start is None:
+            streams = (stream_rng(cfg.seed, name) for name in ("shuffle", "dropout", "ensemble"))
+            state = TrainState(copy.deepcopy(model) if None in later else model, *streams)
+        else:
+            state = copy.deepcopy(kept[start]) if start in later else kept.pop(start)
+        epochs = (cfg.train_epochs_softmax, cfg.train_epochs_umm, cfg.train_epochs_sum)
+        for phase in range(state.phase + 1, PHASE_SAMPLE_WEIGHT + 1):
+            _run_phase(state, phase, epochs[phase - 1], dataset, cfg, eval_ds)
+            key = keys[i].get(phase)
+            # a softmax run without phase-2 epochs reaches its phase-1 key twice
+            if key is not None and key in later and key not in kept:
+                kept[key] = copy.deepcopy(state)
+        yield state.model, state.records
 
 
 def _run_phase(

@@ -34,7 +34,7 @@ from ummlearn.margin_loss import (
     softmax_loss,
     uncertainty_weighted_margin_loss,
 )
-from ummlearn.network import MlpModel, RunConfig, ensemble_class_uncertainty, train
+from ummlearn.network import MlpModel, RunConfig, ensemble_class_uncertainty, train, train_runs
 from ummlearn.numerics import chebyshev
 from ummlearn.seeding import stream_rng, stream_seed
 from ummlearn.uncertainty import (
@@ -73,13 +73,14 @@ def drop90_datasets(seed, per_class=200, test_count=100, radius=5.0, std=1.0):
     return train_ds, test_ds
 
 
-def final_record(loss, seed, train_ds, test_ds, prefixes=None, **overrides):
+def final_records(losses, seed, train_ds, test_ds, **overrides):
+    """Each loss's final epoch record, from one ``train_runs`` call: shared phases train once."""
     overrides.setdefault("model_hidden", (96, 96))
-    cfg = RunConfig(train_loss=loss, seed=seed, **overrides)
-    model = MlpModel.init(train_ds.dim, cfg.model_hidden, train_ds.n_classes,
+    cfgs = [RunConfig(train_loss=loss, seed=seed, **overrides) for loss in losses]
+    model = MlpModel.init(train_ds.dim, cfgs[0].model_hidden, train_ds.n_classes,
                           stream_rng(seed, "init"))
-    model, records = train(model, train_ds, cfg, test_ds, prefixes)
-    return model, records[-1]
+    runs = train_runs(model, train_ds, cfgs, test_ds)
+    return {loss: records[-1] for loss, (_, records) in zip(losses, runs)}
 
 
 class TestCriterion1GradientSuite:
@@ -289,13 +290,12 @@ class TestCriterion7ImbalanceBenefit:
     @pytest.mark.xfail(
         strict=False,
         reason=(
-            "Genuinely unattainable at desk scale with the faithful mechanisms: "
-            "class margins m>=2 derived from dropout uncertainty destabilize a "
-            "from-scratch 2-D MLP (feature angles exceed the psi feasibility "
-            "range, training escapes by shrinking the minority row norm), and "
-            "the sample-level CCDF re-weighting is count-dominated by the "
-            "majority near the contested region. Measured across ~25 "
-            "configurations; see the decisions ledger for the full analysis."
+            "At train.uncertainty_scale=1 every margin is 1: the largest class "
+            "uncertainty is 0.080-0.133 over the 10 seeds, and a margin of 2 "
+            "needs scale * u >= 4. So phase 2 trains the m = 1 loss, which is "
+            "softmax up to the cosine clip, and the test compares phase 3's "
+            "CCDF re-weighting with softmax. It reads 5/10 minority-recall "
+            "wins and a mean BCA change of -0.0014."
         ),
     )
     def test_umm_sum_beats_softmax(self):
@@ -304,23 +304,21 @@ class TestCriterion7ImbalanceBenefit:
         deltas = []
         for seed in range(10):
             train_ds, test_ds = drop90_datasets(seed)
-            results = {}
-            prefixes = {}  # both losses share the 80 softmax epochs: train them once
-            for loss in ("softmax", "uncertainty-weighted"):
-                _, rec = final_record(
-                    loss,
-                    seed,
-                    train_ds,
-                    test_ds,
-                    prefixes,
-                    train_epochs_softmax=80,
-                    train_epochs_umm=20,
-                    train_epochs_sum=10,
-                    train_lr=0.1,
-                    train_weight_decay=1e-5,
-                    train_batch_size=16,
-                )
-                results[loss] = (float(np.mean(rec.recalls[MINORITY_CLASSES])), rec.bca)
+            finals = final_records(  # both losses share the 80 softmax epochs: trained once
+                ("softmax", "uncertainty-weighted"),
+                seed,
+                train_ds,
+                test_ds,
+                train_epochs_softmax=80,
+                train_epochs_umm=20,
+                train_epochs_sum=10,
+                train_lr=0.1,
+                train_weight_decay=1e-5,
+                train_batch_size=16,
+            )
+            results = {
+                loss: (float(np.mean(rec.recalls[MINORITY_CLASSES])), rec.bca) for loss, rec in finals.items()
+            }
             sm, uw = results["softmax"], results["uncertainty-weighted"]
             wins += uw[0] >= sm[0]
             deltas.append(uw[1] - sm[1])
@@ -406,8 +404,8 @@ class TestCriterion11AblationShape:
             per_seed = []
             for seed in range(5):
                 train_ds, test_ds = drop90_datasets(seed)
-                _, rec = final_record(
-                    "uncertainty-weighted",
+                rec = final_records(
+                    ["uncertainty-weighted"],
                     seed,
                     train_ds,
                     test_ds,
@@ -420,7 +418,7 @@ class TestCriterion11AblationShape:
                     train_batch_size=16,
                     ensemble_passes=10,
                     ensemble_dropout=keep,
-                )
+                )["uncertainty-weighted"]
                 per_seed.append(rec.bca)
             bcas[keep] = per_seed
         majority = sum(1 for a, b in zip(bcas[0.5], bcas[0.3]) if a >= b)

@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +60,7 @@ def no_training(config_path, tmp_path, monkeypatch):
         raise AssertionError("a run trained before the sweep's arguments were checked")
 
     monkeypatch.setattr(ummlearn.cli, "train", tripwire)
+    monkeypatch.setattr(ummlearn.cli, "train_runs", tripwire)
     yield
     with pytest.raises(AssertionError, match="a run trained"):
         main(["sweep", "--config", str(config_path), "--out", str(tmp_path / "live"), "--seeds", "1",
@@ -504,11 +506,14 @@ class TestSweepCommand:
                          "--losses", losses, "--dropouts", "0.3,0.5"]) == 0
             return (out / "sweep.csv").read_bytes(), len(steps)
 
-        def without_cache(model, ds, cfg, eval_ds, prefixes):
-            return plain_train(model, ds, cfg, eval_ds)
+        def from_scratch(model, ds, cfgs, eval_ds):
+            # every run on its own data and initial model, as if swept alone
+            for cfg in cfgs:
+                train_ds, test_ds = build_datasets(cfg)
+                yield plain_train(ummlearn.cli._initial_model(cfg, train_ds), train_ds, cfg, test_ds)
 
         forked, forked_steps = sweep("forked")
-        monkeypatch.setattr(ummlearn.cli, "train", without_cache)
+        monkeypatch.setattr(ummlearn.cli, "train_runs", from_scratch)
         plain, plain_steps = sweep("plain")
         assert forked == plain
         assert forked_steps < plain_steps  # the shared prefixes trained once
@@ -550,19 +555,22 @@ class TestSweepCommand:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_first_failure_in_run_order_is_raised(self, workers, config_path, tmp_path, monkeypatch, capsys):
         import ummlearn.cli
+        import ummlearn.network
 
         # runs go (loss, dropout, seed); groups go (dropout, seed). Group
         # (0.3, 5) fails at run 4 and group (0.5, 6) at run 3, so the first
         # group's failure is not the one a serial sweep meets first.
+        # A run fails in the first phase it trains itself; a forked worker
+        # inherits the patch.
         failing = {("hybrid-cluster", 0.3, 5), ("softmax", 0.5, 6), ("hybrid-cluster", 0.5, 6)}
-        plain_run = ummlearn.cli.run_training
+        plain_phase = ummlearn.network._run_phase
 
-        def run_training(cfg, *args):
+        def run_phase(state, phase, n_epochs, dataset, cfg, eval_ds):
             if (cfg.train_loss, cfg.ensemble_dropout, cfg.seed) in failing:
                 raise TrainingDivergenceError(f"{cfg.train_loss} at {cfg.ensemble_dropout}/{cfg.seed}", 2)
-            return plain_run(cfg, *args)
+            plain_phase(state, phase, n_epochs, dataset, cfg, eval_ds)
 
-        monkeypatch.setattr(ummlearn.cli, "run_training", run_training)
+        monkeypatch.setattr(ummlearn.network, "_run_phase", run_phase)
         monkeypatch.setattr(ummlearn.cli, "_usable_cpus", lambda: workers)
         out = tmp_path / "x"
         code = main(["sweep", "--config", str(config_path), "--out", str(out), "--seeds", "2",
@@ -570,6 +578,25 @@ class TestSweepCommand:
         assert code == 1
         assert capsys.readouterr().err == "training diverged: epoch 2: softmax at 0.5/6\n"
         assert not (out / "sweep.csv").exists()
+
+    def test_worker_traceback_is_the_cause(self, config_path, tmp_path, monkeypatch):
+        # a worker's error comes back by pickle, without its frames; the
+        # worker's formatted traceback is chained as the cause instead
+        import ummlearn.cli
+        import ummlearn.network
+
+        def sgd_step(*args):
+            raise TypeError("no step")
+
+        monkeypatch.setattr(ummlearn.network, "sgd_step", sgd_step)
+        monkeypatch.setattr(ummlearn.cli, "_usable_cpus", lambda: 2)
+        with pytest.raises(TypeError, match="no step") as info:
+            main(["sweep", "--config", str(config_path), "--out", str(tmp_path / "x"), "--seeds", "2",
+                  "--losses", "softmax"])
+        text = "".join(traceback.format_exception(info.value))
+        assert "in _run_phase" in text and "in sgd_step" in text
+        if "fork" in multiprocessing.get_all_start_methods():
+            assert isinstance(info.value.__cause__, ummlearn.cli._WorkerTraceback)
 
     def test_cli_import_leaves_out_the_pool_modules(self):
         # only a sweep with more than one worker needs them; they cost every command set-up time

@@ -2,6 +2,7 @@
 
 import pickle
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from ummlearn.gradcheck import check
 from ummlearn.margin_loss import softmax_loss
 from ummlearn.network import (
     LOSS_CHOICES,
+    PHASE_CLASS_MARGIN,
+    PHASE_SOFTMAX,
     Gradients,
     MlpModel,
     RunConfig,
@@ -25,6 +28,7 @@ from ummlearn.network import (
     save_model,
     sgd_step,
     train,
+    train_runs,
 )
 from ummlearn.seeding import stream_rng, stream_seed
 from ummlearn.uncertainty import (
@@ -271,40 +275,101 @@ class TestTrain:
         np.testing.assert_array_equal(finals["softmax"], finals["uncertainty-weighted"])
 
     @pytest.mark.parametrize("hidden, epochs_softmax", [((8, 8), 3), ((8, 8), 0), ((), 3)])
-    def test_shared_prefixes_bit_identical_to_plain(self, hidden, epochs_softmax):
-        # every selector, the last one again on other data, then with one
-        # phase-1 field changed, then with only later-phase epochs changed, all
-        # through one cache: each run equals its plain run bit for bit, and a
-        # run trains its own phase 1 (returns its own model) only when no
-        # earlier run matches its data and its truncated phase-1 config
+    def test_shared_prefixes_bit_identical_to_plain(self, hidden, epochs_softmax, monkeypatch):
+        # every selector, then the last one with one phase-1 field changed,
+        # then with only later-phase epochs changed, all in one train_runs
+        # call: each run equals its plain run bit for bit, and a run trains
+        # its own phase 1 only when no earlier run of the call matches its
+        # truncated phase-1 config. The last such run trains the caller's
+        # model itself; a second call, on other data, shares nothing.
+        import ummlearn.network
+
         losses = [loss for loss in LOSS_CHOICES if hidden or loss != "uncertainty-weighted"]
         last = {"train_loss": losses[-1]}
         phase_1_changes = [
             {"seed": 1}, {"ensemble_dropout": 0.3}, {"train_lr": 0.04}, {"train_weight_decay": 0.0},
             {"train_batch_size": 17}, {"train_epochs_softmax": epochs_softmax + 1},
         ]
-        runs = (  # (config overrides, data seed, trains its own phase 1)
-            [({"train_loss": loss}, 0, i == 0) for i, loss in enumerate(losses)]
-            + [(last, 1, True)]
-            + [(last | change, 0, True) for change in phase_1_changes]
-            + [(last | {"train_epochs_umm": 1}, 0, False), (last | {"train_epochs_sum": 0}, 0, False)]
+        runs = (  # (config overrides, trains its own phase 1)
+            [({"train_loss": loss}, i == 0) for i, loss in enumerate(losses)]
+            + [(last | change, True) for change in phase_1_changes]
+            + [(last | {"train_epochs_umm": 1}, False), (last | {"train_epochs_sum": 0}, False)]
         )
-        prefixes = {}
-        for overrides, data_seed, own_phase_1 in runs:
+        base = RunConfig(
+            model_hidden=hidden, train_epochs_softmax=epochs_softmax,
+            train_epochs_umm=2, train_epochs_sum=2, seed=0,
+        )
+        plain_phase, phases = ummlearn.network._run_phase, []
+
+        def run_phase(state, phase, *args):
+            phases.append(phase)
+            plain_phase(state, phase, *args)
+
+        monkeypatch.setattr(ummlearn.network, "_run_phase", run_phase)
+        for data_seed, call in ((0, runs), (1, [(last, True)])):
             tr, te = binary_sets(data_seed)
-            cfg = RunConfig(
-                model_hidden=hidden, train_epochs_softmax=epochs_softmax,
-                train_epochs_umm=2, train_epochs_sum=2, seed=0,
-            )
-            cfg = replace(cfg, **overrides)
-            plain = train(MlpModel.init(2, hidden, 2, stream_rng(0, "init")), tr, cfg, te)
-            model = MlpModel.init(2, hidden, 2, stream_rng(0, "init"))
-            forked = train(model, tr, cfg, te, prefixes)
-            assert pickle.dumps(forked) == pickle.dumps(plain), overrides
-            assert (forked[0] is model) == own_phase_1, overrides
-        # one phase-1 state per run that trains its own, one phase-2 state per
-        # run but the last, whose phase-2 config equals the base run's
-        assert len(prefixes) == sum(own for _, _, own in runs) + len(runs) - 1
+            cfgs = [replace(base, **overrides) for overrides, _ in call]
+            plains = [pickle.dumps(train(small_model(hidden=hidden, c=2), tr, cfg, te)) for cfg in cfgs]
+            phases.clear()
+            model = small_model(hidden=hidden, c=2)
+            trained_in_place = []
+            for (overrides, own_phase_1), plain, run in zip(call, plains, train_runs(model, tr, cfgs, te)):
+                assert pickle.dumps(run) == plain, overrides
+                assert (PHASE_SOFTMAX in phases) == own_phase_1, overrides
+                trained_in_place.append(run[0] is model)
+                phases.clear()
+            last_own = max(i for i, (_, own) in enumerate(call) if own)
+            assert trained_in_place == [i == last_own for i in range(len(call))]
+
+    @pytest.mark.parametrize(
+        "runs, copied",
+        [
+            ([{"train_loss": "softmax"}], []),
+            ([{"train_loss": "softmax"}, {"train_loss": "hybrid-cluster"}], [PHASE_SOFTMAX]),
+            (
+                [
+                    {"train_loss": "uncertainty-weighted", "train_epochs_sum": 0},
+                    {"train_loss": "uncertainty-weighted"},
+                ],
+                [PHASE_CLASS_MARGIN],
+            ),
+            (  # the sweep's default losses: phase 1 is copied again for the run after umm
+                [
+                    {"train_loss": "softmax"},
+                    {"train_loss": "uncertainty-weighted", "train_epochs_sum": 0},
+                    {"train_loss": "uncertainty-weighted"},
+                    {"train_loss": "hybrid-cluster"},
+                ],
+                [PHASE_SOFTMAX, PHASE_SOFTMAX, PHASE_CLASS_MARGIN],
+            ),
+            (  # without phase-2 epochs the phase-2 key is the phase-1 key: kept once
+                [
+                    {"train_loss": "softmax", "train_epochs_umm": 0},
+                    {"train_loss": "hybrid-cluster", "train_epochs_umm": 0},
+                ],
+                [PHASE_SOFTMAX],
+            ),
+            ([{"seed": 0}, {"seed": 1}], ["model"]),  # no shared phase 1: the initial model
+        ],
+        ids=["one-run", "softmax-hybrid", "umm-umm-sum", "sweep-default", "no-phase-2", "two-seeds"],
+    )
+    def test_state_copied_only_for_a_later_run(self, runs, copied, monkeypatch):
+        import copy
+
+        import ummlearn.network
+
+        seen = []
+
+        def deepcopy(obj):
+            seen.append(getattr(obj, "phase", "model"))
+            return copy.deepcopy(obj)
+
+        monkeypatch.setattr(ummlearn.network, "copy", SimpleNamespace(deepcopy=deepcopy))
+        tr, te = binary_sets(0)
+        base = RunConfig(model_hidden=(8, 8), train_epochs_softmax=1, train_epochs_umm=1, train_epochs_sum=1)
+        for _ in train_runs(small_model(c=2), tr, [replace(base, **overrides) for overrides in runs], te):
+            pass
+        assert seen == copied
 
     def test_margin_phase_with_zero_uncertainty_matches_softmax_losses(self):
         # forced-zero uncertainties give unit margins: per-sample margin loss
@@ -325,10 +390,15 @@ class TestTrain:
             assert lm.value == pytest.approx(sm.value, abs=1e-12)
 
     def test_empty_dataset_rejected(self):
-        model = small_model()
-        with pytest.raises((DimensionError, ValueError)):
-            ds = Dataset.from_arrays(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), 3)
-            train(model, ds, RunConfig())
+        # built field by field: Dataset.from_arrays rejects an empty table itself
+        ds = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), np.zeros(3, dtype=np.int64), np.zeros(3))
+        with pytest.raises(DimensionError, match="training dataset is empty"):
+            train(small_model(), ds, RunConfig())
+
+    def test_class_count_mismatch_rejected(self):
+        tr, _ = binary_sets(0)
+        with pytest.raises(DimensionError, match="class count"):
+            train(small_model(c=3), tr, RunConfig())
 
     def test_divergence_guard(self):
         tr, _ = binary_sets(3)
@@ -337,6 +407,11 @@ class TestTrain:
         with pytest.raises(TrainingDivergenceError) as info:
             train(model, tr, cfg)
         assert info.value.epoch >= 0
+
+    def test_hidden_widths_held_as_a_tuple(self):
+        # a config keys shared training states, so a list of widths must not leave it unhashable
+        cfg = RunConfig(model_hidden=[8, 8])
+        assert cfg.model_hidden == (8, 8) and hash(cfg) == hash(RunConfig(model_hidden=(8, 8)))
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError, match="train.loss"):
