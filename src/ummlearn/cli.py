@@ -325,6 +325,9 @@ def cmd_sweep(args) -> int:
             f"the sweep has no runs: --seeds {args.seeds}, --losses {args.losses!r}, "
             f"--dropouts {args.dropouts!r}"
         )
+    for token, _, _, run_cfg in runs:  # a run of no epochs has no final record to report
+        if run_cfg.train_epochs_softmax + run_cfg.train_epochs_umm + run_cfg.train_epochs_sum == 0:
+            raise ConfigurationError(f"sweep loss {token!r} trains no epochs: train.epochs_* sum to 0")
 
     # only runs of one (dropout, seed) can share a curriculum prefix, so
     # each such group trains on its own, in its own worker when there are CPUs

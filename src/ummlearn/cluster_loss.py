@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, LabelError, ParameterError
-from .numerics import DenseMatrix, as_matrix
+from .errors import ConfigurationError, DimensionError, ParameterError
+from .numerics import DenseMatrix, as_labels, as_matrix
 
 
 @dataclass
@@ -59,16 +59,11 @@ class ClusterState:
 
 def _check_batch(state: ClusterState, features, labels) -> tuple[np.ndarray, np.ndarray]:
     feats = as_matrix(features, "features")
-    labs = np.asarray(labels, dtype=np.int64)
-    if labs.ndim != 1 or labs.shape[0] != feats.shape[0]:
-        raise DimensionError("labels must be 1-D with one entry per feature row")
     if feats.shape[1] != state.dim:
         raise DimensionError(
             f"feature dimension {feats.shape[1]} does not match center dimension {state.dim}"
         )
-    if labs.size and (labs.min() < 0 or labs.max() >= state.n_classes):
-        raise LabelError("label out of range for the configured centers")
-    return feats, labs
+    return feats, as_labels(labels, feats.shape[:1], state.n_classes)
 
 
 def clustering_loss(state: ClusterState, features, labels) -> tuple[float, DenseMatrix]:

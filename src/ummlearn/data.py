@@ -10,8 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CsvFormatError, DimensionError, LabelError, ParameterError
-from .numerics import DenseMatrix, as_matrix
+from .errors import CsvFormatError, DimensionError, ParameterError
+from .numerics import DenseMatrix, as_labels, as_matrix
 from .seeding import stream_rng, stream_seed
 
 
@@ -42,18 +42,9 @@ class Dataset:
     @classmethod
     def from_arrays(cls, features, labels, n_classes: int | None = None) -> "Dataset":
         feats = as_matrix(features, "features")
-        labs = np.asarray(labels, dtype=np.int64)
-        if labs.ndim != 1 or labs.shape[0] != feats.shape[0]:
-            raise DimensionError("labels must be 1-D with one entry per feature row")
-        if labs.size == 0:
-            raise DimensionError("a dataset needs at least one sample")
-        if labs.min() < 0:
-            raise LabelError("labels must be nonnegative")
-        if n_classes is None:
-            n_classes = int(labs.max()) + 1
-        elif labs.max() >= n_classes:
-            raise LabelError(f"label {labs.max()} out of range for {n_classes} classes")
-        counts = np.bincount(labs, minlength=n_classes).astype(np.int64)
+        labs = as_labels(labels, feats.shape[:1], n_classes)
+        # without n_classes, the classes run up to the largest label
+        counts = np.bincount(labs, minlength=n_classes or 0).astype(np.int64)
         freqs = counts / counts.sum()
         return cls(features=feats, labels=labs, class_counts=counts, class_frequencies=freqs)
 
@@ -90,11 +81,7 @@ def gaussian_blobs(specs, seed: int = 0) -> Dataset:
         )
         rows.append(samples)
         labels.append(np.full(spec.count, k, dtype=np.int64))
-    features = np.vstack(rows) if rows else np.empty((0, dim))
-    labs = np.concatenate(labels)
-    if labs.size == 0:
-        raise DimensionError("all blob counts are zero")
-    return Dataset.from_arrays(features, labs, n_classes=len(specs))
+    return Dataset.from_arrays(np.vstack(rows), np.concatenate(labels), n_classes=len(specs))
 
 
 def imbalance_subsample(ds: Dataset, drop_fraction: float, class_subset, seed: int = 0) -> Dataset:
@@ -102,14 +89,12 @@ def imbalance_subsample(ds: Dataset, drop_fraction: float, class_subset, seed: i
 
     Listed classes retain ceil((1 - drop_fraction) * count) samples chosen
     uniformly without replacement; the others are untouched. Retained rows
-    keep their original order, so the result is stable per seed.
+    keep their original order, so the result is stable per seed. The class
+    indices of ``class_subset`` follow the label rule of ``numerics.as_labels``.
     """
     if not 0.0 <= drop_fraction < 1.0:
         raise ParameterError(f"drop_fraction must lie in [0, 1), got {drop_fraction!r}")
-    subset = sorted(set(int(k) for k in class_subset))
-    for k in subset:
-        if not 0 <= k < ds.n_classes:
-            raise LabelError(f"unknown class {k} in subset")
+    subset = np.unique(as_labels(class_subset, np.shape(class_subset), ds.n_classes))
     keep = np.ones(ds.n_samples, dtype=bool)
     for k in subset:
         idx = np.flatnonzero(ds.labels == k)
@@ -188,11 +173,8 @@ def load_csv(path, n_classes: int | None = None) -> Dataset:
             header = next(reader)
         except StopIteration:
             raise CsvFormatError("empty dataset file") from None
-        if len(header) < 2 or header[-1] != "label":
-            raise CsvFormatError("header must be f0,...,f{d-1},label", line=1)
         dim = len(header) - 1
-        expected = [f"f{i}" for i in range(dim)]
-        if header[:-1] != expected:
+        if dim < 1 or header != [f"f{i}" for i in range(dim)] + ["label"]:
             raise CsvFormatError("header must be f0,...,f{d-1},label", line=1)
         features, labels = _parse_table(path, dim) or _parse_rows(reader, dim)
     if n_classes is None:
@@ -331,8 +313,6 @@ def boundary_bias_demo(imbalance_ratio: float, seed: int = 0) -> BoundaryBiasRep
         w -= 0.5 * grad
 
     dw = w[0] - w[1]
-    if abs(dw[0]) < 1e-12:
-        raise ParameterError("degenerate boundary: slope difference vanished")
     learned = -dw[1] / dw[0]
     optimal = 0.5 * (mean_maj + mean_min)
     tau_maj = majority_count / n

@@ -1,5 +1,10 @@
 """Central finite-difference oracle for verifying analytic gradients, and the
-instances that the ``gradcheck`` command and the tests check with it."""
+instances that the ``gradcheck`` command and the tests check with it.
+
+A central difference of step h carries rounding noise of about eps S / h, where S
+is the size of the terms the loss adds up (Nocedal & Wright, section 8.1), so
+``check`` passes coordinate i when |a_i - n_i| <= max(tol max(|a_i|, |n_i|), c eps S / h).
+"""
 
 from __future__ import annotations
 
@@ -18,6 +23,10 @@ from .margin_loss import (
     uncertainty_weighted_margin_loss,
 )
 from .seeding import stream_rng
+
+# ``check``'s step h, and c: the noise term is ten times the rounding of one evaluation
+STEP = 1e-5
+NOISE_FACTOR = 10.0
 
 # The classifier losses of ``selector_problems``, with their margins.
 _CLASSIFIER_LOSSES = {
@@ -63,24 +72,33 @@ def central_difference(scalar_fn: Callable[[np.ndarray], float], params, h: floa
     return grad
 
 
-def relative_errors(analytic, numeric) -> np.ndarray:
-    """|a - n| / max(|a|, |n|, 1e-8), elementwise."""
+def relative_errors(analytic, numeric, floor: float = 1e-8) -> np.ndarray:
+    """|a - n| / max(|a|, |n|, floor), elementwise."""
     a = np.asarray(analytic, dtype=np.float64)
     n = np.asarray(numeric, dtype=np.float64)
     if a.shape != n.shape:
         raise DimensionError("gradient shapes disagree")
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-8)
+    denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
     return np.abs(a - n) / denom
 
 
-def check(scalar_fn: Callable, analytic_grad, params, tolerance: float = 1e-4) -> GradReport:
-    """Compare an analytic gradient against central differences, coordinate by coordinate."""
+def check(
+    scalar_fn: Callable, analytic_grad, params, scale: float | None = None, tolerance: float = 1e-4
+) -> GradReport:
+    """Compare an analytic gradient against central differences, coordinate by coordinate.
+
+    ``scale`` is S (see the module docstring), by default max(|f(params)|, 1). A
+    coordinate's error is |a - n| / max(|a|, |n|, c eps S / (h tolerance)): below
+    ``tolerance`` exactly where it passes."""
     x = np.asarray(params, dtype=np.float64)
     a = np.asarray(analytic_grad, dtype=np.float64).ravel()
     if a.shape != x.shape:
         raise DimensionError("analytic gradient must match the parameter vector")
-    numeric = central_difference(scalar_fn, x)
-    errs = relative_errors(a, numeric)
+    if scale is None:
+        scale = max(abs(scalar_fn(x)), 1.0)
+    numeric = central_difference(scalar_fn, x, STEP)
+    noise = NOISE_FACTOR * np.finfo(np.float64).eps * scale / STEP
+    errs = relative_errors(a, numeric, noise / tolerance)
     idx = int(np.argmax(errs))
     worst = float(errs[idx])
     return GradReport(
@@ -97,7 +115,8 @@ def check(scalar_fn: Callable, analytic_grad, params, tolerance: float = 1e-4) -
 def loss_problem(loss, state: ClassifierState, features, labels) -> tuple:
     """The ``check`` arguments of a batch loss over the weights, row-major, then the features.
 
-    ``loss(state, features, labels)`` returns a ``LossResult``."""
+    ``loss(state, features, labels)`` returns a ``LossResult``. The noise scale is
+    max(|f(x)|, max |w_j . f|): the loss adds up logits, each rounded at its own size."""
     feats = np.asarray(features, dtype=np.float64)
     w_shape, n_w = state.weights.shape, state.weights.size
 
@@ -107,7 +126,8 @@ def loss_problem(loss, state: ClassifierState, features, labels) -> tuple:
 
     res = loss(state, feats, labels)
     analytic = np.concatenate([res.grad_weights.ravel(), res.grad_feature.ravel()])
-    return value, analytic, np.concatenate([state.weights.ravel(), feats.ravel()])
+    scale = max(abs(res.value), float(np.max(np.abs(feats @ state.weights.T))))
+    return value, analytic, np.concatenate([state.weights.ravel(), feats.ravel()]), scale
 
 
 def cluster_instance(rng: np.random.Generator):

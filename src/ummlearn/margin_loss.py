@@ -21,8 +21,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateNormError, DimensionError, LabelError, ParameterError
-from .numerics import M_MAX, DenseMatrix, as_matrix, as_vector, chebyshev, log_sum_exp_rows
+from .errors import DegenerateNormError, DimensionError, ParameterError
+from .numerics import M_MAX, DenseMatrix, as_labels, as_matrix, as_vector, chebyshev, log_sum_exp_rows
 
 # Keep cos(alpha) strictly inside (-1, 1); at the poles the angular
 # factorization has unbounded derivatives.
@@ -90,18 +90,11 @@ class LossResult:
 
 def _check_batch(state: ClassifierState, features, labels) -> tuple[DenseMatrix, np.ndarray]:
     feats = np.asarray(features, dtype=np.float64)
-    labs = np.asarray(labels)
     if feats.ndim != 2 or feats.shape[1] != state.feature_dim:
         raise DimensionError(
             f"features must have shape (B, {state.feature_dim}), got {feats.shape}"
         )
-    if feats.shape[0] == 0:
-        raise DimensionError("a batch needs at least one row")
-    if labs.shape != feats.shape[:1] or labs.dtype.kind not in "iu":
-        raise LabelError(f"labels must be {feats.shape[0]} integers, one per feature row")
-    if labs.min() < 0 or labs.max() >= state.n_classes:
-        raise LabelError(f"label out of range for {state.n_classes} classes")
-    return feats, labs
+    return feats, as_labels(labels, feats.shape[:1], state.n_classes)
 
 
 def _per_row(values, n: int, name: str) -> np.ndarray:
@@ -237,12 +230,13 @@ def large_margin_softmax_loss(
 def uncertainty_weighted_margin_loss(
     state: ClassifierState, features, labels, m, ccdf, blend: float = 1.0
 ) -> LossResult:
-    """Margin softmax with the true-class term scaled by a misclassification probability.
+    """Margin softmax with the true-class term scaled by a per-row weight in [0, 1].
 
-    ``ccdf`` (one for the batch or one per row) is the sample's probability
-    of being misclassified under its Gaussian feature model; it multiplies
-    the full bracketed transform (including the -2r offset) and is treated
-    as a constant for gradients. At ccdf = 1 this is exactly
+    ``ccdf`` (one for the batch or one per row) multiplies the full bracketed
+    transform (including the -2r offset) and is treated as a constant for
+    gradients. The trainer's final phase passes each sample's probability of
+    being classified correctly, 1 - CCDF under its Gaussian feature model
+    (``network._sample_weights``). At ccdf = 1 this is exactly
     ``large_margin_softmax_loss``.
     """
     feats, labs = _check_batch(state, features, labels)

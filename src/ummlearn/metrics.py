@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, LabelError
+from .numerics import as_labels
 
 logger = logging.getLogger(__name__)
 
@@ -23,25 +23,14 @@ class ConfusionCounts:
 
     @classmethod
     def from_predictions(cls, y_true, y_pred, n_classes: int) -> "ConfusionCounts":
-        t = np.asarray(y_true, dtype=np.int64)
-        p = np.asarray(y_pred, dtype=np.int64)
-        if t.ndim != 1 or t.shape != p.shape:
-            raise DimensionError("y_true and y_pred must be equal-length 1-D arrays")
-        if t.size == 0:
-            raise DimensionError("confusion counts need at least one sample")
-        for arr, name in ((t, "y_true"), (p, "y_pred")):
-            if arr.min() < 0 or arr.max() >= n_classes:
-                raise LabelError(f"{name} contains labels outside [0, {n_classes})")
+        t = as_labels(y_true, (np.size(y_true),), n_classes)
+        p = as_labels(y_pred, t.shape, n_classes)
         # confusion matrix: row = true class, column = predicted class
         cm = np.bincount(t * n_classes + p, minlength=n_classes * n_classes).reshape(n_classes, -1)
         tp = cm.diagonal().astype(np.int64)
         fp = cm.sum(axis=0) - tp
         fn = cm.sum(axis=1) - tp
         return cls(tp=tp, fp=fp, fn=fn, tn=t.size - tp - fp - fn)
-
-    @property
-    def n_classes(self) -> int:
-        return self.tp.shape[0]
 
     @property
     def n_positive(self) -> np.ndarray:

@@ -209,8 +209,6 @@ def backward(model: MlpModel, cache: ForwardCache, grad_feature, grad_classifier
     batch averaging; ``grad_classifier`` is passed through untouched.
     """
     delta = np.asarray(grad_feature, dtype=np.float64)
-    if delta.ndim == 1:
-        delta = delta[None, :]
     if delta.shape != cache.feature.shape:
         raise DimensionError("grad_feature must match the cached feature shape")
     n_hidden = len(model.hidden_weights)

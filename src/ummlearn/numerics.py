@@ -2,15 +2,15 @@
 
 All numeric data in this library flows through plain float64 ndarrays: a
 ``DenseVector`` is a 1-D array, a ``DenseMatrix`` a row-major 2-D array.
-The helpers here validate shape and finiteness at construction boundaries
-so the hot loss/gradient paths can assume clean inputs.
+The helpers here validate shape, finiteness and class labels at construction
+boundaries so the hot loss/gradient paths can assume clean inputs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, LabelError, ParameterError
 
 DenseVector = np.ndarray
 DenseMatrix = np.ndarray
@@ -39,6 +39,23 @@ def as_matrix(data, name: str = "matrix") -> DenseMatrix:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
+
+
+def as_labels(labels, shape, n_classes: int | None) -> np.ndarray:
+    """``labels`` as int64 class indices, checked by the one label rule of the library.
+
+    A nonempty array of ``shape`` (else ``DimensionError``) of integers in [0,
+    ``n_classes``), or nonnegative for ``n_classes`` None (else ``LabelError``):
+    a float label such as 1.7 is rejected, never truncated."""
+    labs = np.asarray(labels)
+    if labs.shape != tuple(shape) or labs.size == 0:
+        raise DimensionError(f"labels must be a nonempty array of shape {tuple(shape)}: {labs.shape}")
+    if labs.dtype.kind not in "iu":
+        raise LabelError(f"labels must be integers, got dtype {labs.dtype}")
+    top = np.inf if n_classes is None else n_classes
+    if labs.min() < 0 or labs.max() >= top:
+        raise LabelError(f"labels must lie in [0, {top}), got {labs.min()}..{labs.max()}")
+    return labs.astype(np.int64, copy=False)
 
 
 def chebyshev(x, m) -> tuple[np.ndarray, np.ndarray]:

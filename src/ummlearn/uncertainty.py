@@ -18,8 +18,9 @@ import math
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, LabelError, ParameterError
+from .errors import ConfigurationError, DimensionError, ParameterError
 from .margin_loss import ClassifierState
+from .numerics import as_labels, as_vector
 
 logger = logging.getLogger(__name__)
 
@@ -55,13 +56,9 @@ def class_uncertainty(values, labels, n_classes: int) -> np.ndarray:
     Classes with no samples receive the global mean and are logged. Values
     are summed in sorted order so the result is independent of sample order.
     """
-    own = np.asarray(values, dtype=np.float64)
-    labs = np.asarray(labels, dtype=np.int64)
-    if own.ndim != 1 or labs.shape != own.shape:
-        raise DimensionError("values and labels must be 1-D with one entry per sample")
-    if labs.size and (labs.min() < 0 or labs.max() >= n_classes):
-        raise LabelError("label out of range")
-    global_mean = float(np.sort(own).mean()) if own.size else 0.0
+    own = as_vector(values, "values")
+    labs = as_labels(labels, own.shape, n_classes)
+    global_mean = float(np.sort(own).mean())
     result = np.empty(n_classes, dtype=np.float64)
     for k in range(n_classes):
         vals = own[labs == k]
@@ -125,11 +122,9 @@ def rival_class(state: ClassifierState, mu_f, y):
     ``mu_f`` is (d,) with an integer ``y``, or (B, d) with one label per row.
     """
     mu_f = np.asarray(mu_f, dtype=np.float64)
-    y = np.asarray(y)
-    if mu_f.shape[:-1] != y.shape or mu_f.shape[-1:] != (state.feature_dim,):
-        raise DimensionError("rival_class needs one label per mean feature row")
-    if np.any(y < 0) or np.any(y >= state.n_classes):
-        raise LabelError(f"label {y} out of range")
+    if mu_f.shape[-1:] != (state.feature_dim,):
+        raise DimensionError(f"mean features must have {state.feature_dim} columns, got {mu_f.shape}")
+    y = as_labels(y, mu_f.shape[:-1], state.n_classes)
     scores = mu_f @ state.weights.T
     np.put_along_axis(scores, y[..., None], -np.inf, axis=-1)
     return np.argmax(scores, axis=-1)[()]

@@ -199,6 +199,8 @@ class TestTrainCommand:
             ("data.std=inf\n", "data.std"),
             ("data.decay=nan\n", "data.decay"),
             ("train.lr=inf\n", "train.lr"),
+            ("data.kind=bogus\n", "data.kind"),
+            ("train.lr 0.1\n", "expected key=value"),
         ],
     )
     def test_bad_value_rejected_before_any_output(self, extra, key, tmp_path, capsys):
@@ -381,22 +383,45 @@ class TestReportingCommands:
 
     @pytest.mark.parametrize("command", ["eval", "uncertainty", "features2d"])
     @pytest.mark.parametrize(
-        "name, value",
+        "name, value, reported",
         [
-            ("hidden_w0", np.where(np.eye(8, 2) > 0, np.nan, 0.5)),
-            ("hidden_b1", np.full(8, np.inf)),
-            ("hidden_w1", np.full((8, 8), "a")),
-            ("n_hidden", np.array(2.5)),
-            ("n_hidden", np.array(-1)),
+            ("hidden_w0", np.where(np.eye(8, 2) > 0, np.nan, 0.5), "hidden_w0"),
+            ("hidden_b1", np.full(8, np.inf), "hidden_b1"),
+            ("hidden_w1", np.full((8, 8), "a"), "hidden_w1"),
+            ("n_hidden", np.array(2.5), "n_hidden"),
+            ("n_hidden", np.array(-1), "n_hidden"),
+            ("margins", np.ones((2, 1), dtype=np.int64), "margins has shape (2, 1), expected 1-D"),
+            ("classifier_weights", np.full((2, 8), np.nan), "weights contains non-finite entries"),
+            ("class_uncertainty", np.array([0.1, np.nan]), "class_uncertainty contains non-finite"),
+            ("class_uncertainty", np.array([0.1, -0.1]), "class_uncertainty must be nonnegative"),
         ],
-        ids=["nan-weight", "inf-bias", "text-weight", "fractional-n_hidden", "negative-n_hidden"],
+        ids=["nan-weight", "inf-bias", "text-weight", "fractional-n_hidden", "negative-n_hidden",
+             "rank-margins", "nan-classifier", "nan-uncertainty", "negative-uncertainty"],
     )
-    def test_model_bad_hidden_array_exit_code_2(self, command, name, value, run_dir, tmp_path, capsys):
+    def test_model_bad_hidden_array_exit_code_2(
+        self, command, name, value, reported, run_dir, tmp_path, capsys
+    ):
         model = tmp_path / "broken.npz"
         self.write_model(model, run_dir, **{name: value})
         assert main([command, "--model", str(model), "--data", str(run_dir / "test.csv")]) == 2
         err = capsys.readouterr().err
-        assert str(model) in err and name in err
+        assert str(model) in err and reported in err
+
+    def test_uncertainty_needs_a_hidden_layer_exit_code_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "linear.cfg"
+        cfg_path.write_text(SMALL_CONFIG + "model.hidden=\n")
+        out = tmp_path / "linear"
+        assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert self.score("uncertainty", out, out / "train.csv") == 2
+        assert "dropout ensembles need at least one hidden layer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "uncertainty", "features2d"])
+    def test_csv_header_exit_code_2(self, command, run_dir, tmp_path, capsys):
+        path = tmp_path / "header.csv"
+        path.write_text("x0,label\n0.5,0\n")
+        assert self.score(command, run_dir, path) == 2
+        err = capsys.readouterr().err
+        assert "line 1" in err and "header must be f0,...,f{d-1},label" in err
 
     @pytest.mark.parametrize("command", ["eval", "uncertainty", "features2d"])
     @pytest.mark.parametrize("bad", [2.5, np.nan], ids=["fractional", "nan"])
@@ -616,6 +641,25 @@ class TestSweepCommand:
                      "--losses", "softmax,umm"])
         assert code == 2
         assert "model.hidden" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "epochs, losses, token",
+        [("0,0,0", "softmax", "softmax"), ("0,0,3", "umm-sum,umm", "umm")],
+    )
+    def test_runs_without_epochs_exit_code_2(
+        self, epochs, losses, token, no_training, tmp_path, capsys
+    ):
+        # umm zeroes train.epochs_sum itself: its runs train nothing where umm-sum's train
+        softmax, umm, sum_ = epochs.split(",")
+        path = tmp_path / "idle.cfg"
+        path.write_text(SMALL_CONFIG + f"train.epochs_softmax={softmax}\ntrain.epochs_umm={umm}\n"
+                        f"train.epochs_sum={sum_}\n")
+        out = tmp_path / "x"
+        code = main(["sweep", "--config", str(path), "--out", str(out), "--seeds", "2",
+                     "--losses", losses])
+        assert code == 2
+        assert f"sweep loss {token!r} trains no epochs" in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_numeric_dropouts_exit_code_2(self, config_path, tmp_path, capsys):

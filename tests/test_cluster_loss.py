@@ -101,6 +101,10 @@ class TestClusterState:
         with pytest.raises(ParameterError):
             ClusterState(np.zeros((2, 2)), alpha=0.0)
 
+    def test_lam_positive(self):
+        with pytest.raises(ParameterError, match="lam"):
+            ClusterState(np.zeros((2, 2)), lam=0.0)
+
 
 class TestClusteringLoss:
     def test_zero_when_features_at_centers(self):
@@ -148,6 +152,15 @@ class TestClusteringLoss:
         state = ClusterState(np.zeros((2, 2)))
         with pytest.raises(DimensionError):
             clustering_loss(state, np.zeros((3, 2)), [0, 1])
+
+    def test_feature_width_must_match_centers(self):
+        with pytest.raises(DimensionError, match="center dimension"):
+            clustering_loss(ClusterState(np.zeros((2, 2))), np.zeros((2, 3)), [0, 1])
+
+    @pytest.mark.parametrize("fn", [clustering_loss, update_centers])
+    def test_empty_batch_rejected(self, fn):
+        with pytest.raises(DimensionError):
+            fn(ClusterState(np.zeros((2, 2))), np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(35)

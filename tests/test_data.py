@@ -42,6 +42,21 @@ def balanced_error_simpson(threshold, mean_a, mean_b, std=1.0, half_width=10.0, 
 
 
 class TestGaussianBlobs:
+    @pytest.mark.parametrize(
+        "specs",
+        [[], [BlobSpec((0.0, 0.0), 1.0, 3), BlobSpec((0.0,), 1.0, 3)],
+         [BlobSpec((0.0, 0.0), 1.0, 0), BlobSpec((5.0, 5.0), 1.0, 0)]],
+        ids=["no-spec", "mixed-dims", "all-counts-zero"],
+    )
+    def test_rejected_specs(self, specs):
+        with pytest.raises(DimensionError):
+            gaussian_blobs(specs, seed=1)
+
+    @pytest.mark.parametrize("std, count", [(0.0, 3), (1.0, -1)])
+    def test_bad_blob_spec(self, std, count):
+        with pytest.raises(ParameterError):
+            BlobSpec((0.0,), std, count)
+
     def test_zero_count_class_absent(self):
         specs = [BlobSpec((0.0, 0.0), 1.0, 10), BlobSpec((5.0, 5.0), 1.0, 0)]
         ds = gaussian_blobs(specs, seed=1)
@@ -163,6 +178,14 @@ class TestCsvRoundTrip:
         path.write_text("a,b,c\n1.0,2.0,0\n")
         with pytest.raises(CsvFormatError):
             load_csv(path)
+
+    @pytest.mark.parametrize("header", ["x0,label", "label", "f0,f1", "f1,f0,label"])
+    def test_header_names_every_column(self, header, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{header}\n1.0,2.0,0\n")
+        with pytest.raises(CsvFormatError, match="header") as info:
+            load_csv(path)
+        assert info.value.line == 1
 
 
 def csv_outcome(path, n_classes):
@@ -305,6 +328,15 @@ class TestDataset:
     def test_counts(self):
         ds = Dataset.from_arrays(np.zeros((4, 1)), np.array([0, 0, 1, 2]))
         assert ds.class_counts.tolist() == [2, 1, 1]
+
+    def test_empty_rejected(self):
+        with pytest.raises(DimensionError):
+            Dataset.from_arrays(np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
+
+    @pytest.mark.parametrize("labels, n_classes", [([0, -1], None), ([0, 3], 3)])
+    def test_label_range(self, labels, n_classes):
+        with pytest.raises(LabelError):
+            Dataset.from_arrays(np.zeros((2, 1)), np.array(labels), n_classes)
 
 
 class TestBoundaryBiasDemo:

@@ -3,8 +3,19 @@
 import numpy as np
 import pytest
 
-from ummlearn.gradcheck import GradReport, central_difference, check, relative_errors
+from ummlearn.cli import main
+from ummlearn.errors import DimensionError
+from ummlearn.gradcheck import (
+    NOISE_FACTOR,
+    STEP,
+    GradReport,
+    central_difference,
+    check,
+    relative_errors,
+    selector_problems,
+)
 from ummlearn.margin_loss import ClassifierState, softmax_loss
+from ummlearn.network import LOSS_CHOICES
 
 
 class TestCentralDifference:
@@ -66,3 +77,45 @@ class TestCheck:
     def test_str_contains_verdict(self):
         report = check(lambda x: float(x[0]), np.array([1.0]), np.array([0.0]))
         assert "PASS" in str(report)
+
+    def test_shapes_checked(self):
+        with pytest.raises(DimensionError):
+            central_difference(lambda x: 0.0, np.zeros((2, 2)))
+        with pytest.raises(DimensionError):
+            relative_errors(np.zeros(2), np.zeros(3))
+        with pytest.raises(DimensionError):
+            check(lambda x: 0.0, np.zeros(3), np.zeros(2))
+
+    def test_error_below_the_noise_of_the_scale_passes(self):
+        # f(x) = 1e-6 x at S = 1e3: a slope off by half the noise term c eps S / h passes,
+        # off by twice that fails
+        noise = NOISE_FACTOR * np.finfo(np.float64).eps * 1e3 / STEP
+        for off, passed in ((0.5 * noise, True), (2.0 * noise, False)):
+            analytic = np.array([1e-6 + off])
+            report = check(lambda x: float(x[0]) * 1e-6, analytic, np.array([0.0]), scale=1e3)
+            assert report.passed is passed
+
+
+def mutants(name, analytic):
+    """The analytic gradient of a ``selector_problems`` instance with one defect each:
+    the largest entry x1.001, the weight (or whole) gradient dropped, the sign of the row
+    that holds the largest entry flipped."""
+    width = 6 if name == "" else 3  # classifier rows are 6-D, cluster rows 3-D
+    big = int(np.argmax(np.abs(analytic)))
+    scaled, dropped, flipped = analytic.copy(), analytic.copy(), analytic.copy()
+    scaled[big] *= 1.001
+    dropped[: 4 * width if name == "" else analytic.size] = 0.0  # the 4 x 6 weights, or all
+    row = slice(big - big % width, big - big % width + width)
+    flipped[row] = -flipped[row]
+    return {"x1.001": scaled, "dropped": dropped, "flipped": flipped}
+
+
+@pytest.mark.parametrize("seed", [20, 44, 84])
+@pytest.mark.parametrize("loss", LOSS_CHOICES)
+def test_oracle_passes_true_gradients_and_fails_mutants(loss, seed, capsys):
+    # instances with true gradient entries below the central-difference noise
+    assert main(["gradcheck", "--loss", loss, "--seed", str(seed)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    for name, (fn, analytic, x, *scale) in selector_problems(loss, seed):
+        for mutant, grad in mutants(name, analytic).items():
+            assert not check(fn, grad, x, *scale).passed, (name, mutant)

@@ -105,6 +105,19 @@ class TestClassMargin:
         with pytest.raises(ParameterError, match="margins"):
             ClassifierState(np.eye(2), margins)
 
+    @pytest.mark.parametrize(
+        "weights, margins, uncertainty",
+        [(np.ones((1, 2)), None, None), (np.eye(2), [1, 1, 1], None), (np.eye(2), None, [0.1])],
+        ids=["one-class", "margin-count", "uncertainty-count"],
+    )
+    def test_state_shapes(self, weights, margins, uncertainty):
+        with pytest.raises(DimensionError):
+            ClassifierState(weights, margins, uncertainty)
+
+    def test_state_rejects_negative_uncertainty(self):
+        with pytest.raises(ParameterError, match="class_uncertainty"):
+            ClassifierState(np.eye(2), class_uncertainty=[0.5, -0.1])
+
     def test_state_keeps_integer_margins(self):
         state = ClassifierState(np.eye(2), np.array([2.0, M_MAX]))
         assert state.margins.dtype == np.int64 and state.margins.tolist() == [2, M_MAX]
@@ -167,6 +180,11 @@ class TestLargeMarginSoftmax:
         state = ClassifierState(np.eye(2))
         with pytest.raises(ParameterError):
             large_margin_softmax_loss(state, np.ones((1, 2)), [0], 9)
+
+    @pytest.mark.parametrize("blend", [0.0, 1.5])
+    def test_blend_out_of_range(self, blend):
+        with pytest.raises(ParameterError, match="blend"):
+            large_margin_softmax_loss(ClassifierState(np.eye(2)), np.ones((1, 2)), [0], 2, blend=blend)
 
 
 class TestUncertaintyWeightedLoss:
@@ -243,6 +261,10 @@ class TestAngularVariants:
 
 
 class TestAngularMarginLoss:
+    def test_unknown_variant(self):
+        with pytest.raises(ParameterError, match="variant"):
+            angular_margin_loss(ClassifierState(np.eye(2)), np.ones((1, 2)), [0], variant="iii")
+
     @pytest.mark.parametrize("variant", ["i", "ii"])
     def test_gradients_match_finite_differences(self, variant):
         rng = np.random.default_rng(31 if variant == "i" else 32)
@@ -317,5 +339,5 @@ class TestBatchKernel:
             uncertainty_weighted_margin_loss(state, feats, labels, 2, ccdfs[:3])
         with pytest.raises(DimensionError):
             softmax_loss(state, feats[0], labels[:1])
-        with pytest.raises(LabelError):
+        with pytest.raises(DimensionError):  # a label count that does not match the rows
             softmax_loss(state, feats, labels[:3])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ummlearn.errors import DimensionError
+from ummlearn.errors import DimensionError, LabelError
 from ummlearn.metrics import (
     ConfusionCounts,
     bca,
@@ -47,6 +47,16 @@ class TestConfusionCounts:
     def test_empty_rejected(self):
         with pytest.raises(DimensionError):
             counts_from([], [], 2)
+
+    @pytest.mark.parametrize("y_true, y_pred", [([0, 1], [0]), ([[0, 1]], [[0, 1]]), (0, 0)])
+    def test_shapes_rejected(self, y_true, y_pred):
+        with pytest.raises(DimensionError):
+            counts_from(y_true, y_pred, 2)
+
+    @pytest.mark.parametrize("y_true, y_pred", [([0, 2], [0, 1]), ([0, 1], [0, -1])])
+    def test_labels_out_of_range(self, y_true, y_pred):
+        with pytest.raises(LabelError):
+            counts_from(y_true, y_pred, 2)
 
 
 class TestBca:

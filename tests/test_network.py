@@ -11,7 +11,7 @@ from helpers import flatten_params, mlp_softmax_problem
 from ummlearn.data import Dataset, gaussian_blobs, two_class_blob_specs
 from ummlearn.errors import ConfigurationError, DimensionError, TrainingDivergenceError
 from ummlearn.gradcheck import check
-from ummlearn.margin_loss import softmax_loss
+from ummlearn.margin_loss import softmax_loss, uncertainty_weighted_margin_loss
 from ummlearn.network import (
     LOSS_CHOICES,
     PHASE_CLASS_MARGIN,
@@ -90,6 +90,15 @@ class TestForward:
         with pytest.raises(DimensionError):
             forward(small_model(), np.ones(5))
 
+    def test_one_mask_per_hidden_layer(self):
+        with pytest.raises(DimensionError, match="mask"):
+            forward(small_model(), np.ones((2, 2)), [np.ones(8)])
+
+    @pytest.mark.parametrize("d, hidden, c", [(0, (8,), 3), (2, (8, 0), 3), (2, (8,), 1)])
+    def test_invalid_architecture(self, d, hidden, c):
+        with pytest.raises(ConfigurationError, match="architecture"):
+            MlpModel.init(d, hidden, c, stream_rng(0, "init"))
+
 
 class TestBackward:
     def test_zero_upstream_zero_grads(self):
@@ -106,6 +115,12 @@ class TestBackward:
         yb = rng.integers(0, 3, 4)
         report = check(*mlp_softmax_problem(model, xb, yb))
         assert report.passed, str(report)
+
+    @pytest.mark.parametrize("shape", [(8,), (3, 8), (4, 2)])
+    def test_grad_feature_must_match_the_feature(self, shape):
+        model = small_model()
+        with pytest.raises(DimensionError):
+            backward(model, forward(model, np.ones((4, 2))), np.zeros(shape))
 
     def test_batch_linearity(self):
         model = small_model(11)
@@ -388,6 +403,31 @@ class TestTrain:
             lm = large_margin_softmax_loss(model.classifier, f[None], [y], 1)
             sm = softmax_loss(model.classifier, f[None], [y])
             assert lm.value == pytest.approx(sm.value, abs=1e-12)
+
+    def test_phase3_weights_fall_as_the_ccdf_rises(self, monkeypatch):
+        # the final phase scales each sample's true-class term by P(correct) = 1 - CCDF
+        import ummlearn.network as network
+
+        seen = []
+
+        def rising_ccdfs(model, xb, yb, cfg, rng):
+            return np.linspace(0.05, 0.95, yb.size)
+
+        def recording_loss(state, features, labels, m, ccdf, blend=1.0):
+            seen.append(np.asarray(ccdf))
+            return uncertainty_weighted_margin_loss(state, features, labels, m, ccdf, blend=blend)
+
+        monkeypatch.setattr(network, "_batch_ccdfs", rising_ccdfs)
+        monkeypatch.setattr(network, "uncertainty_weighted_margin_loss", recording_loss)
+        tr, _ = binary_sets(0)
+        cfg = RunConfig(train_loss="uncertainty-weighted", train_epochs_softmax=1, train_epochs_umm=0,
+                        train_epochs_sum=1, model_hidden=(8, 8), seed=0)
+        train(small_model(c=2), tr, cfg)
+        assert len(seen) == -(-tr.n_samples // cfg.train_batch_size)
+        for weights in seen:
+            expected = 1.0 - np.linspace(0.05, 0.95, weights.size)
+            np.testing.assert_allclose(weights, expected, rtol=0, atol=1e-15)
+            assert np.all(np.diff(weights) < 0)
 
     def test_empty_dataset_rejected(self):
         # built field by field: Dataset.from_arrays rejects an empty table itself

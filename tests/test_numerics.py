@@ -5,9 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from ummlearn.errors import DimensionError, ParameterError
-from ummlearn.numerics import M_MAX, chebyshev, log_sum_exp_rows
-from ummlearn.uncertainty import misclassification_ccdf
+from ummlearn.cluster_loss import ClusterState, clustering_loss
+from ummlearn.data import Dataset
+from ummlearn.errors import DimensionError, LabelError, ParameterError
+from ummlearn.margin_loss import ClassifierState, softmax_loss
+from ummlearn.metrics import ConfusionCounts
+from ummlearn.numerics import M_MAX, as_labels, as_matrix, as_vector, chebyshev, log_sum_exp_rows
+from ummlearn.uncertainty import class_uncertainty, misclassification_ccdf, rival_class
 
 
 def erf_maclaurin(x: float, terms: int = 60) -> float:
@@ -122,3 +126,64 @@ class TestStableLogSumExp:
         for i in range(6):
             naive = math.log(sum(math.exp(float(x)) for x in mat[i]))
             assert rows[i] == pytest.approx(naive, abs=1e-12)
+
+
+class TestAsLabels:
+    def test_integers_become_int64(self):
+        labs = as_labels(np.array([2, 0, 1], dtype=np.int32), (3,), 3)
+        assert labs.dtype == np.int64
+        np.testing.assert_array_equal(labs, [2, 0, 1])
+
+    def test_no_class_count_bounds_below_only(self):
+        np.testing.assert_array_equal(as_labels([0, 7], (2,), None), [0, 7])
+        with pytest.raises(LabelError):
+            as_labels([0, -1], (2,), None)
+
+    @pytest.mark.parametrize(
+        "labels, shape", [([0, 1], (3,)), ([[0, 1]], (2,)), ([], (0,))], ids=["count", "rank", "empty"]
+    )
+    def test_shape_and_emptiness(self, labels, shape):
+        with pytest.raises(DimensionError):
+            as_labels(np.array(labels, dtype=np.int64), shape, 2)
+
+    @pytest.mark.parametrize(
+        "labels", [[0.0, 1.7], [0.0, 1.0], [True, False], [0, 2], [-1, 0]],
+        ids=["fractional", "float", "bool", "above", "negative"],
+    )
+    def test_label_rule(self, labels):
+        with pytest.raises(LabelError):
+            as_labels(labels, (2,), 2)
+
+
+# every function that takes labels, called with the labels [0.0, 1.7]
+TRUNCATION_CASES = {
+    "softmax_loss": lambda y: softmax_loss(ClassifierState(np.eye(2)), np.ones((2, 2)), y),
+    "clustering_loss": lambda y: clustering_loss(ClusterState(np.zeros((2, 2))), np.ones((2, 2)), y),
+    "class_uncertainty": lambda y: class_uncertainty(np.ones(2), y, 2),
+    "rival_class": lambda y: rival_class(ClassifierState(np.eye(2)), np.ones((2, 2)), y),
+    "from_predictions": lambda y: ConfusionCounts.from_predictions(y, [0, 1], 2),
+    "from_arrays": lambda y: Dataset.from_arrays(np.ones((2, 2)), y, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRUNCATION_CASES))
+def test_float_labels_rejected_not_truncated(name):
+    with pytest.raises(LabelError):
+        TRUNCATION_CASES[name](np.array([0.0, 1.7]))
+
+
+class TestDenseContainers:
+    def test_vector_rank(self):
+        with pytest.raises(DimensionError):
+            as_vector(np.ones((2, 2)))
+
+    def test_matrix_rank(self):
+        with pytest.raises(DimensionError):
+            as_matrix(np.ones(3))
+
+    @pytest.mark.parametrize("coerce, shape", [(as_vector, (3,)), (as_matrix, (2, 2))])
+    def test_non_finite(self, coerce, shape):
+        bad = np.ones(shape)
+        bad.flat[1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            coerce(bad)

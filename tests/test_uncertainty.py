@@ -5,7 +5,7 @@ import pytest
 
 from helpers import normal_cdf_simpson
 from ummlearn.data import gaussian_blobs, longtail_blob_specs, two_class_blob_specs
-from ummlearn.errors import ConfigurationError, ParameterError
+from ummlearn.errors import ConfigurationError, DimensionError, ParameterError
 from ummlearn.margin_loss import ClassifierState
 from ummlearn.network import MlpModel, RunConfig, ensemble_class_uncertainty
 from ummlearn.seeding import stream_rng, stream_seed
@@ -159,6 +159,14 @@ class TestClassUncertainty:
         assert u[1] == pytest.approx(np.mean([0.2, 0.4]))
         assert u[2] == pytest.approx(np.mean([0.2, 0.4]))
 
+    @pytest.mark.parametrize(
+        "values, labels", [([[0.2, 0.4]], [0, 1]), ([0.2, 0.4], [0]), ([], [])],
+        ids=["2-D values", "label count", "empty"],
+    )
+    def test_shapes_rejected(self, values, labels):
+        with pytest.raises(DimensionError):
+            class_uncertainty(np.array(values), np.array(labels, dtype=np.int64), 2)
+
 
 class TestSampleFeatureMoments:
     def test_identical_features_zero_variance(self):
@@ -187,6 +195,10 @@ class TestSampleFeatureMoments:
         with pytest.raises(ConfigurationError):
             sample_feature_moments(np.ones((1, 2)))
 
+    def test_rank_rejected(self):
+        with pytest.raises(DimensionError):
+            sample_feature_moments(np.ones(4))
+
 
 class TestErrorMoments:
     def test_zero_difference(self):
@@ -212,6 +224,10 @@ class TestErrorMoments:
             naive_var = sum(d[i] * sigma_f[i] * d[i] for i in range(5))
             assert mu_e == pytest.approx(naive_mu, abs=1e-12)
             assert var_e == pytest.approx(naive_var, abs=1e-12)
+
+    def test_shapes_must_agree(self):
+        with pytest.raises(DimensionError):
+            error_moments(np.ones(2), np.ones(2), np.ones(3), np.ones(2))
 
 
 class TestMisclassificationCcdf:
@@ -260,6 +276,11 @@ class TestRivalClass:
     def test_tie_lowest_index(self):
         state = ClassifierState(np.array([[1.0, 0.0], [0.5, 0.5], [0.5, 0.5]]))
         assert rival_class(state, np.array([1.0, 1.0]), 0) == 1
+
+    @pytest.mark.parametrize("mu_f, y", [(np.ones((2, 3)), [0, 1]), (np.ones((2, 2)), [0])])
+    def test_shapes_rejected(self, mu_f, y):
+        with pytest.raises(DimensionError):
+            rival_class(ClassifierState(np.eye(2)), mu_f, np.array(y))
 
 
 class TestBatchAxis:
