@@ -46,10 +46,10 @@ class ClassifierState:
     class_uncertainty: np.ndarray | None = None
 
     def __post_init__(self):
-        self.weights = as_matrix(self.weights, "weights")
+        self.weights = as_matrix(self.weights, "classifier_weights")
         c = self.weights.shape[0]
         if c < 2:
-            raise DimensionError("a classifier needs at least two classes")
+            raise DimensionError(f"classifier_weights has {c} row(s), a classifier needs at least two")
         if self.margins is None:
             self.margins = np.ones(c, dtype=np.int64)
         else:

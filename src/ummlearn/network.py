@@ -51,7 +51,7 @@ from .margin_loss import (
     softmax_loss,
     uncertainty_weighted_margin_loss,
 )
-from .numerics import M_MAX
+from .numerics import M_MAX, as_matrix, as_vector
 from .seeding import stream_rng
 from .uncertainty import (
     class_uncertainty,
@@ -82,30 +82,49 @@ PHASE_SAMPLE_WEIGHT = 3
 
 @dataclass
 class MlpModel:
-    """Hidden layers (with biases) plus the bias-free classifier head."""
+    """Hidden layers (with biases) plus the bias-free classifier head.
+
+    Construction checks the architecture rule: finite float64 layers
+    ``hidden_w{i}`` and ``hidden_b{i}`` (named as the archive names them),
+    one bias vector per weight matrix, no empty axis, each layer's fan-in
+    equal to the previous width and the head's columns equal to the last
+    width. A violation raises a ``ValueError`` that names the array.
+    """
 
     hidden_weights: list[np.ndarray]
     hidden_biases: list[np.ndarray]
     classifier: ClassifierState
+
+    def __post_init__(self):
+        if len(self.hidden_biases) != len(self.hidden_weights):
+            raise DimensionError("one bias vector per hidden weight matrix is required")
+        self.hidden_weights = [as_matrix(w, f"hidden_w{i}") for i, w in enumerate(self.hidden_weights)]
+        self.hidden_biases = [as_vector(b, f"hidden_b{i}") for i, b in enumerate(self.hidden_biases)]
+        widths, head = [self.input_dim, *self.layer_widths], self.classifier.weights.shape
+        # (name, shape, the shape that chains from the input through the layers)
+        shapes = [
+            (f"hidden_w{i}", w.shape, (w.shape[0], widths[i])) for i, w in enumerate(self.hidden_weights)
+        ]
+        shapes += [(f"hidden_b{i}", b.shape, (widths[i + 1],)) for i, b in enumerate(self.hidden_biases)]
+        for name, shape, want in shapes + [("classifier_weights", head, (head[0], widths[-1]))]:
+            if 0 in shape:
+                raise DimensionError(f"{name} has shape {shape}, an empty axis")
+            if shape != want:
+                raise DimensionError(f"{name} has shape {shape}, expected {want}")
 
     @classmethod
     def init(
         cls, input_dim: int, hidden_widths, n_classes: int, rng: np.random.Generator
     ) -> "MlpModel":
         """Fan-in-scaled uniform initialization, deterministic per generator."""
-        widths = [int(w) for w in hidden_widths]
-        if input_dim < 1 or n_classes < 2 or any(w < 1 for w in widths):
-            raise ConfigurationError("invalid architecture sizes")
-        weights, biases = [], []
-        fan_in = input_dim
-        for w in widths:
-            bound = 1.0 / np.sqrt(fan_in)
-            weights.append(rng.uniform(-bound, bound, size=(w, fan_in)))
-            biases.append(np.zeros(w))
-            fan_in = w
-        bound = 1.0 / np.sqrt(fan_in)
-        head = rng.uniform(-bound, bound, size=(n_classes, fan_in))
-        return cls(weights, biases, ClassifierState(head))
+        dims = [input_dim, *hidden_widths]
+        weights = [np.zeros((w, fan_in)) for fan_in, w in zip(dims, dims[1:])]
+        biases = [np.zeros(w) for w in dims[1:]]
+        model = cls(weights, biases, ClassifierState(np.zeros((n_classes, dims[-1]))))
+        for w in [*model.hidden_weights, model.classifier.weights]:
+            bound = 1.0 / np.sqrt(w.shape[1])
+            w[:] = rng.uniform(-bound, bound, size=w.shape)
+        return model
 
     @property
     def layer_widths(self) -> list[int]:
@@ -615,13 +634,15 @@ def save_model(model: MlpModel, path) -> None:
 
 
 def load_model(path) -> MlpModel:
-    """Inverse of ``save_model``.
+    """Inverse of ``save_model``: read the archive, then build the model through its rules.
 
-    A file that is not an .npz archive, lacks an array, stores an ``n_hidden``
-    that is not a nonnegative integer, a hidden layer with no units or with
-    non-numeric or non-finite weights or biases, or shapes that do not chain from the input
-    through the hidden layers into the classifier raises
-    ``ConfigurationError`` naming the file and the array.
+    The archive holds the integer scalar ``n_hidden`` >= 0, the 2-D ``hidden_w{i}``
+    and 1-D ``hidden_b{i}`` for i < ``n_hidden``, the 2-D ``classifier_weights``
+    and the 1-D ``margins`` and ``class_uncertainty``, all numeric. A file that is
+    not an .npz archive, an array that is missing, unreadable (pickled or damaged),
+    of another rank or of a non-numeric dtype, or arrays that break the rules of
+    ``MlpModel`` and ``ClassifierState`` raise ``ConfigurationError`` naming the
+    file and the array.
     """
     try:
         archive = np.load(path)
@@ -631,11 +652,14 @@ def load_model(path) -> MlpModel:
         raise ConfigurationError(f"{path} is not an .npz model archive")
 
     def array(name: str, ndim: int) -> np.ndarray:
-        if name not in archive.files:
-            raise ConfigurationError(f"{path} has no array {name}")
-        arr = np.array(archive[name])
+        try:
+            arr = archive[name]
+        except (KeyError, ValueError, zipfile.BadZipFile) as exc:  # missing, pickled, or damaged
+            raise ConfigurationError(f"{path}: cannot read array {name}: {exc}") from None
         if arr.ndim != ndim:
             raise ConfigurationError(f"{path}: {name} has shape {arr.shape}, expected {ndim}-D")
+        if arr.dtype.kind not in "fiu":
+            raise ConfigurationError(f"{path}: {name} has dtype {arr.dtype}, not a numeric one")
         return arr
 
     with archive:
@@ -644,33 +668,8 @@ def load_model(path) -> MlpModel:
             raise ConfigurationError(f"{path}: n_hidden is {n_hidden}, not a nonnegative integer")
         weights = [array(f"hidden_w{i}", 2) for i in range(n_hidden)]
         biases = [array(f"hidden_b{i}", 1) for i in range(n_hidden)]
-        head = array("classifier_weights", 2)
-        margins = array("margins", 1)
-        uncertainty = array("class_uncertainty", 1)
-    fan_in = weights[0].shape[1] if weights else head.shape[1]
-    expected = []  # (name, stored shape, shape that chains)
-    for i, (w, b) in enumerate(zip(weights, biases)):
-        if w.shape[0] == 0:
-            raise ConfigurationError(f"{path}: hidden_w{i} has shape {w.shape}, a layer with no units")
-        for name, arr in ((f"hidden_w{i}", w), (f"hidden_b{i}", b)):
-            if arr.dtype.kind not in "fiu" or not np.isfinite(arr).all():
-                raise ConfigurationError(f"{path}: {name} has non-numeric or non-finite entries")
-        expected += [
-            (f"hidden_w{i}", w.shape, (w.shape[0], fan_in)),
-            (f"hidden_b{i}", b.shape, w.shape[:1]),
-        ]
-        fan_in = w.shape[0]
-    c = head.shape[0]
-    expected += [
-        ("classifier_weights", head.shape, (c, fan_in)),
-        ("margins", margins.shape, (c,)),
-        ("class_uncertainty", uncertainty.shape, (c,)),
-    ]
-    for name, shape, want in expected:
-        if shape != want:
-            raise ConfigurationError(f"{path}: {name} has shape {shape}, expected {want}")
+        classifier = (array("classifier_weights", 2), array("margins", 1), array("class_uncertainty", 1))
     try:
-        state = ClassifierState(head, margins, uncertainty)
-    except ValueError as exc:  # too few classes, non-finite weights, margins out of range
+        return MlpModel(weights, biases, ClassifierState(*classifier))
+    except ValueError as exc:  # the rules of MlpModel and ClassifierState
         raise ConfigurationError(f"{path}: {exc}") from None
-    return MlpModel(weights, biases, state)

@@ -391,12 +391,20 @@ class TestReportingCommands:
             ("n_hidden", np.array(2.5), "n_hidden"),
             ("n_hidden", np.array(-1), "n_hidden"),
             ("margins", np.ones((2, 1), dtype=np.int64), "margins has shape (2, 1), expected 1-D"),
-            ("classifier_weights", np.full((2, 8), np.nan), "weights contains non-finite entries"),
+            ("classifier_weights", np.full((2, 8), np.nan), "classifier_weights contains non-finite"),
             ("class_uncertainty", np.array([0.1, np.nan]), "class_uncertainty contains non-finite"),
             ("class_uncertainty", np.array([0.1, -0.1]), "class_uncertainty must be nonnegative"),
+            ("classifier_weights", np.full((2, 8), "a"), "classifier_weights has dtype <U1"),
+            ("margins", np.full(2, "a"), "margins has dtype <U1"),
+            ("class_uncertainty", np.full(2, "a"), "class_uncertainty has dtype <U1"),
+            ("margins", np.array([1, None], dtype=object), "cannot read array margins"),
+            ("margins", np.ones(2, dtype=np.complex128), "margins has dtype complex128"),
+            ("classifier_weights", np.ones((1, 8)), "classifier_weights has 1 row(s)"),
         ],
         ids=["nan-weight", "inf-bias", "text-weight", "fractional-n_hidden", "negative-n_hidden",
-             "rank-margins", "nan-classifier", "nan-uncertainty", "negative-uncertainty"],
+             "rank-margins", "nan-classifier", "nan-uncertainty", "negative-uncertainty",
+             "text-classifier", "text-margins", "text-uncertainty", "object-margins", "complex-margins",
+             "one-class"],
     )
     def test_model_bad_hidden_array_exit_code_2(
         self, command, name, value, reported, run_dir, tmp_path, capsys
@@ -435,6 +443,17 @@ class TestReportingCommands:
         assert main([command, "--model", str(model), "--data", str(run_dir / "test.csv")]) == 2
         err = capsys.readouterr().err
         assert str(model) in err and "margins" in err
+
+    def test_model_damaged_array_exit_code_2(self, run_dir, tmp_path, capsys):
+        # one flipped byte inside the stored classifier_weights fails the member's CRC-32
+        data = bytearray((run_dir / "model.npz").read_bytes())
+        start = data.index(b"\x93NUMPY", data.index(b"classifier_weights.npy"))
+        data[start + 200] ^= 0xFF
+        model = tmp_path / "damaged.npz"
+        model.write_bytes(bytes(data))
+        assert main(["eval", "--model", str(model), "--data", str(run_dir / "test.csv")]) == 2
+        err = capsys.readouterr().err
+        assert str(model) in err and "cannot read array classifier_weights" in err
 
     def test_model_not_an_npz_exit_code_2(self, run_dir, tmp_path, capsys):
         model = tmp_path / "model.npz"

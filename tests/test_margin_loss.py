@@ -331,6 +331,19 @@ class TestBatchKernel:
         report = check(*loss_problem(batch_loss, state, feats, labels))
         assert report.passed, str(report)
 
+    @pytest.mark.parametrize("blend", [0.15, 0.6])
+    def test_blend_mixes_softmax_and_margin_rows(self, blend):
+        # each row's loss is (1 - blend) softmax + blend margin; a zero-feature row is softmax alone
+        state, feats, labels, margins, _ = self.mixed_batch()
+        for i in range(labels.size):
+            row = (state, feats[i : i + 1], labels[i : i + 1])
+            mixed = large_margin_softmax_loss(*row, margins[i], blend=blend)
+            margin = large_margin_softmax_loss(*row, margins[i], blend=1.0)
+            soft = softmax_loss(*row)
+            for part in ("value", "grad_weights", "grad_feature"):
+                want = (1.0 - blend) * getattr(soft, part) + blend * getattr(margin, part)
+                np.testing.assert_allclose(getattr(mixed, part), want, rtol=0, atol=1e-12)
+
     def test_per_row_shapes_checked(self):
         state, feats, labels, margins, ccdfs = self.mixed_batch()
         with pytest.raises(DimensionError):

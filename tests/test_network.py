@@ -11,7 +11,7 @@ from helpers import flatten_params, mlp_softmax_problem
 from ummlearn.data import Dataset, gaussian_blobs, two_class_blob_specs
 from ummlearn.errors import ConfigurationError, DimensionError, TrainingDivergenceError
 from ummlearn.gradcheck import check
-from ummlearn.margin_loss import softmax_loss, uncertainty_weighted_margin_loss
+from ummlearn.margin_loss import ClassifierState, softmax_loss, uncertainty_weighted_margin_loss
 from ummlearn.network import (
     LOSS_CHOICES,
     PHASE_CLASS_MARGIN,
@@ -57,6 +57,14 @@ def reference_chain(model, x, masks=None):
     return pres, acts, h, h @ model.classifier.weights.T
 
 
+# (input dim, hidden widths, classes) -> the architecture rule's error
+ARCHITECTURE_FAULTS = {
+    (0, (8,), 3): r"hidden_w0 has shape \(8, 0\), an empty axis",
+    (2, (8, 0), 3): r"hidden_w1 has shape \(0, 8\), an empty axis",
+    (2, (8,), 1): r"classifier_weights has 1 row\(s\), a classifier needs at least two",
+}
+
+
 class TestForward:
     def test_zero_weights_zero_logits(self):
         model = small_model()
@@ -94,10 +102,53 @@ class TestForward:
         with pytest.raises(DimensionError, match="mask"):
             forward(small_model(), np.ones((2, 2)), [np.ones(8)])
 
-    @pytest.mark.parametrize("d, hidden, c", [(0, (8,), 3), (2, (8, 0), 3), (2, (8,), 1)])
+    @pytest.mark.parametrize("d, hidden, c", list(ARCHITECTURE_FAULTS))
     def test_invalid_architecture(self, d, hidden, c):
-        with pytest.raises(ConfigurationError, match="architecture"):
+        # init has no rule of its own: the model's rule names the array
+        with pytest.raises(DimensionError, match=ARCHITECTURE_FAULTS[d, hidden, c]):
             MlpModel.init(d, hidden, c, stream_rng(0, "init"))
+
+
+class TestModelRule:
+    """A hand-built ``MlpModel`` is checked at construction, each fault naming its array."""
+
+    @staticmethod
+    def build(weights=((8, 2), (8, 8)), biases=(8, 8), head=(3, 8)):
+        return MlpModel([np.ones(s) for s in weights], [np.zeros(s) for s in biases],
+                        ClassifierState(np.ones(head)))
+
+    @pytest.mark.parametrize(
+        "layers, message",
+        [
+            ({"weights": ((8, 2), (8, 5))}, r"hidden_w1 has shape \(8, 5\), expected \(8, 8\)"),
+            ({"biases": (8, 7)}, r"hidden_b1 has shape \(7,\), expected \(8,\)"),
+            ({"head": (3, 4)}, r"classifier_weights has shape \(3, 4\), expected \(3, 8\)"),
+            (
+                {"weights": (), "biases": (), "head": (3, 0)},
+                r"classifier_weights has shape \(3, 0\), an empty axis",
+            ),
+            ({"biases": (8,)}, "one bias vector per hidden weight matrix"),
+            ({"weights": ((8, 2), (8,))}, "hidden_w1 must be 2-D"),
+            ({"biases": (8, (8, 1))}, "hidden_b1 must be 1-D"),
+        ],
+        ids=["fan-in", "bias-width", "head-columns", "empty-head", "bias-count", "rank-weight", "rank-bias"],
+    )
+    def test_layers_that_do_not_chain_raise(self, layers, message):
+        with pytest.raises(DimensionError, match=message):
+            self.build(**layers)
+
+    def test_non_finite_layer_named(self):
+        model = self.build()
+        model.hidden_weights[1][0, 0] = np.nan
+        with pytest.raises(ValueError, match="hidden_w1 contains non-finite"):
+            MlpModel(model.hidden_weights, model.hidden_biases, model.classifier)
+
+    def test_layers_held_as_float64_without_a_copy(self):
+        w = np.ones((8, 2))
+        model = MlpModel([w, np.ones((8, 8), dtype=np.int64)], [np.zeros(8), np.zeros(8, dtype=np.int64)],
+                         ClassifierState(np.ones((3, 8))))
+        assert model.hidden_weights[0] is w
+        assert all(a.dtype == np.float64 for a in model.hidden_weights + model.hidden_biases)
 
 
 class TestBackward:
@@ -204,6 +255,14 @@ class TestSgdStep:
         sgd_step(model, self._zero_grads(model), 0.1, 0.0)
         np.testing.assert_array_equal(flatten_params(model), before)
 
+    def test_decay_leaves_the_biases(self):
+        model = small_model()
+        for b in model.hidden_biases:
+            b[:] = 0.5
+        sgd_step(model, self._zero_grads(model), 0.1, 0.5)
+        for b in model.hidden_biases:
+            np.testing.assert_array_equal(b, np.full_like(b, 0.5))
+
     def test_decay_shrinks_weights(self):
         model = small_model()
         before = model.classifier.weights.copy()
@@ -211,7 +270,7 @@ class TestSgdStep:
         np.testing.assert_allclose(model.classifier.weights, before * (1 - 0.1 * 0.5))
 
     def test_hand_update_two_by_two(self):
-        model = MlpModel([], [], __import__("ummlearn.margin_loss", fromlist=["ClassifierState"]).ClassifierState(np.array([[1.0, 2.0], [3.0, 4.0]])))
+        model = MlpModel([], [], ClassifierState(np.array([[1.0, 2.0], [3.0, 4.0]])))
         grads = Gradients([], [], np.array([[0.5, 0.0], [0.0, -1.0]]))
         sgd_step(model, grads, 0.1, 0.0)
         np.testing.assert_allclose(
@@ -428,6 +487,37 @@ class TestTrain:
             expected = 1.0 - np.linspace(0.05, 0.95, weights.size)
             np.testing.assert_allclose(weights, expected, rtol=0, atol=1e-15)
             assert np.all(np.diff(weights) < 0)
+
+    def test_margins_scale_the_class_uncertainty(self, monkeypatch):
+        # margin = max(1, floor(0.5 * scale * u)): u = 0.1 at scale 40 gives 2, at scale 1 gives 1
+        import ummlearn.network as network
+
+        monkeypatch.setattr(network, "ensemble_class_uncertainty", lambda model, ds, cfg, seed: np.full(2, 0.1))
+        model = small_model(c=2)
+        tr, _ = binary_sets(0)
+        cfg = RunConfig(train_loss="uncertainty-weighted", train_uncertainty_scale=40.0)
+        network._refresh_margins(model, tr, cfg, np.random.default_rng(0))
+        np.testing.assert_array_equal(model.classifier.class_uncertainty, [0.1, 0.1])
+        np.testing.assert_array_equal(model.classifier.margins, [2, 2])
+
+    def test_hybrid_center_step_descends(self):
+        # one hybrid batch moves the centers to the damped pull minus lr * scale * grad_centers
+        import ummlearn.network as network
+        from ummlearn.cluster_loss import ClusterState, hybrid_loss, update_centers
+
+        rng = np.random.default_rng(5)
+        model = small_model(c=3)
+        xb, yb = rng.standard_normal((6, 2)), np.array([0, 1, 2, 0, 1, 2])
+        cfg = RunConfig(train_loss="hybrid-cluster", cluster_weight=0.5)
+        state = network.TrainState(model, *(stream_rng(0, n) for n in ("shuffle", "dropout", "ensemble")))
+        state.cluster = ClusterState(0.1 * rng.standard_normal((3, 8)))
+        cache = forward(model, xb)
+        _, _, grad_centers = hybrid_loss(state.cluster, cache.feature, yb)
+        assert np.abs(grad_centers).max() > 0.1
+        scale = cfg.cluster_weight / yb.size
+        expected = update_centers(state.cluster, cache.feature, yb) - cfg.train_lr * scale * grad_centers
+        network._batch_loss(state, cache, xb, yb, cfg, PHASE_CLASS_MARGIN)
+        np.testing.assert_allclose(state.cluster.centers, expected, rtol=0, atol=1e-15)
 
     def test_empty_dataset_rejected(self):
         # built field by field: Dataset.from_arrays rejects an empty table itself
