@@ -143,13 +143,13 @@ def two_class_blob_specs(
 
 
 def save_csv(ds: Dataset, path) -> None:
-    """Write ``f0,...,f{d-1},label`` rows with round-trip-exact float text."""
+    """Write ``f0,...,f{d-1},label`` rows with round-trip-exact float text, 1,000 rows per write."""
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"f{i}" for i in range(ds.dim)] + ["label"])
-        for row, lab in zip(ds.features, ds.labels):
-            writer.writerow([f"{v:.17g}" for v in row] + [str(int(lab))])
+        fh.write(",".join([f"f{i}" for i in range(ds.dim)] + ["label"]) + "\n")
+        for start in range(0, ds.n_samples, 1000):
+            rows = zip(*(a[start : start + 1000].tolist() for a in (ds.features, ds.labels)))
+            fh.write("".join(",".join([*map("{:.17g}".format, f), str(y)]) + "\n" for f, y in rows))
 
 
 def load_csv(path, n_classes: int | None = None) -> Dataset:

@@ -115,11 +115,15 @@ def _softmax_rows(logits: DenseMatrix, labs: np.ndarray) -> tuple[np.ndarray, De
 
 def softmax_loss(state: ClassifierState, features, labels) -> LossResult:
     """Batch-mean cross-entropy of the bias-free softmax over the logits ``w_j . f``."""
-    feats, labs = _check_batch(state, features, labels)
+    return _softmax(state, *_check_batch(state, features, labels))
+
+
+def _softmax(state: ClassifierState, feats: DenseMatrix, labs: np.ndarray) -> LossResult:
+    """``softmax_loss`` on checked inputs."""
     w = state.weights
     values, resid = _softmax_rows(feats @ w.T, labs)
     resid /= labs.size
-    return LossResult(float(np.mean(values)), resid.T @ feats, resid @ w)
+    return LossResult(float(values.sum() / labs.size), resid.T @ feats, resid @ w)
 
 
 def _psi(c: np.ndarray, m) -> tuple[np.ndarray, np.ndarray]:
@@ -244,9 +248,7 @@ def uncertainty_weighted_margin_loss(
     ccdf = _per_row(ccdf, labs.size, "ccdf").astype(np.float64)
     if not np.all((0.0 <= ccdf) & (ccdf <= 1.0)):
         raise ParameterError(f"ccdf must lie in [0, 1], got {ccdf!r}")
-    return _true_class_loss(
-        state, feats, labs, lambda c: _psi(c, m), weight=ccdf, blend=blend
-    )
+    return _true_class_loss(state, feats, labs, lambda c: _psi(c, m), ccdf, blend)
 
 
 def _variant_i(c, a: float) -> tuple[np.ndarray, np.ndarray]:
@@ -264,14 +266,13 @@ def _variant_ii(c, a: float) -> tuple[np.ndarray, np.ndarray]:
     return -np.cos(a * u), a * np.sin(a * u) / (4.0 * u)
 
 
-# angular-loss variant -> (transform of cos(alpha), its fixed shape parameter a)
-_VARIANTS = {"i": (_variant_i, 2.0), "ii": (_variant_ii, 3.0)}
+# angular-loss variant -> its transform of cos(alpha), at its fixed shape parameter a
+_VARIANTS = {"i": lambda c: _variant_i(c, 2.0), "ii": lambda c: _variant_ii(c, 3.0)}
 
 
 def angular_margin_loss(state: ClassifierState, features, labels, variant: str = "i") -> LossResult:
     """Softmax loss with the true-class cosine remapped by an angular variant."""
     if variant not in _VARIANTS:
         raise ParameterError(f"unknown angular variant {variant!r}")
-    transform, a = _VARIANTS[variant]
     feats, labs = _check_batch(state, features, labels)
-    return _true_class_loss(state, feats, labs, lambda c: transform(c, a))
+    return _true_class_loss(state, feats, labs, _VARIANTS[variant])

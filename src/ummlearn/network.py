@@ -40,18 +40,18 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import metrics as metrics_mod
-from .cluster_loss import ClusterState, hybrid_loss, update_centers
+from .cluster_loss import ClusterState, _hybrid_batch
 from .data import Dataset
 from .errors import ConfigurationError, DimensionError, TrainingDivergenceError
 from .margin_loss import (
+    _VARIANTS,
     ClassifierState,
-    angular_margin_loss,
+    _psi,
+    _softmax,
+    _true_class_loss,
     class_margin_from_uncertainty,
-    large_margin_softmax_loss,
-    softmax_loss,
-    uncertainty_weighted_margin_loss,
 )
-from .numerics import M_MAX, as_matrix, as_vector
+from .numerics import M_MAX, as_labels, as_matrix, as_vector
 from .seeding import stream_rng
 from .uncertainty import (
     class_uncertainty,
@@ -197,28 +197,17 @@ def forward(model: MlpModel, x, masks=None) -> ForwardCache:
     arr = _input_matrix(model, x)
     if masks is not None and len(masks) != len(model.hidden_weights):
         raise DimensionError("one dropout mask per hidden layer is required")
-    act = [np.empty((arr.shape[0], w)) for w in model.layer_widths]
-    feature = _pass(model, arr, masks, act)
-    return ForwardCache(
-        x=arr, act=act, masks=list(masks) if masks is not None else None, feature=feature
-    )
+    return _forward(model, arr, list(masks) if masks is not None else None)
 
 
-def _passes(model: MlpModel, x, masks_per_pass):
-    """Yield (feature, logits) of one inference pass over ``x`` per mask collection.
+def _forward(model: MlpModel, x: np.ndarray, masks) -> ForwardCache:
+    act = [np.empty((x.shape[0], w)) for w in model.layer_widths]
+    return ForwardCache(x=x, act=act, masks=masks, feature=_pass(model, x, masks, act))
 
-    Each entry of ``masks_per_pass`` is one mask per hidden layer, shared by
-    every row, or ``None`` for a dropout-free pass. Every pass writes into
-    the same buffers, allocated once per call: a caller that keeps a pass's
-    arrays past the next pass must copy them.
-    """
-    x = _input_matrix(model, x)
-    hidden = [np.empty((x.shape[0], w)) for w in model.layer_widths]
-    logits = np.empty((x.shape[0], model.n_classes))
-    for masks in masks_per_pass:
-        feature = _pass(model, x, masks, hidden)
-        np.matmul(feature, model.classifier.weights.T, out=logits)
-        yield feature, logits
+
+def _buffers(model: MlpModel, n_rows: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """Uninitialized hidden-layer and logit buffers for passes over ``n_rows`` rows."""
+    return [np.empty((n_rows, w)) for w in model.layer_widths], np.empty((n_rows, model.n_classes))
 
 
 def backward(model: MlpModel, cache: ForwardCache, grad_feature, grad_classifier=None) -> Gradients:
@@ -230,6 +219,12 @@ def backward(model: MlpModel, cache: ForwardCache, grad_feature, grad_classifier
     delta = np.asarray(grad_feature, dtype=np.float64)
     if delta.shape != cache.feature.shape:
         raise DimensionError("grad_feature must match the cached feature shape")
+    if grad_classifier is None:
+        grad_classifier = np.zeros_like(model.classifier.weights)
+    return _backward(model, cache, delta, grad_classifier)
+
+
+def _backward(model: MlpModel, cache: ForwardCache, delta: np.ndarray, grad_classifier) -> Gradients:
     n_hidden = len(model.hidden_weights)
     g_w = [None] * n_hidden
     g_b = [None] * n_hidden
@@ -242,9 +237,8 @@ def backward(model: MlpModel, cache: ForwardCache, grad_feature, grad_classifier
         inputs = cache.act[layer - 1] if layer > 0 else cache.x
         g_w[layer] = delta.T @ inputs
         g_b[layer] = delta.sum(axis=0)
-        delta = delta @ model.hidden_weights[layer]
-    if grad_classifier is None:
-        grad_classifier = np.zeros_like(model.classifier.weights)
+        if layer:  # the gradient of the input itself is not needed
+            delta = delta @ model.hidden_weights[layer]
     return Gradients(hidden_weights=g_w, hidden_biases=g_b, classifier_weights=grad_classifier)
 
 
@@ -260,7 +254,13 @@ def sgd_step(model: MlpModel, grads: Gradients, lr: float, weight_decay: float) 
 
 def evaluate(model: MlpModel, dataset: Dataset) -> np.ndarray:
     """Dropout-free argmax predictions; ties resolve to the lowest class index."""
-    _, logits = next(_passes(model, dataset.features, [None]))
+    x = _input_matrix(model, dataset.features)
+    return _predict(model, x, *_buffers(model, x.shape[0]))
+
+
+def _predict(model: MlpModel, x: np.ndarray, hidden, logits) -> np.ndarray:
+    """``evaluate`` on the checked ``x``, through the caller's ``_buffers``."""
+    np.matmul(_pass(model, x, None, hidden), model.classifier.weights.T, out=logits)
     return np.argmax(logits, axis=1).astype(np.int64)
 
 
@@ -406,25 +406,28 @@ def ensemble_class_uncertainty(
     sub-networks disagree, which is what makes the per-class average track
     class rarity.
     """
-    labels = dataset.labels
+    labels, x = dataset.labels, _input_matrix(model, dataset.features)
     own = np.empty((cfg.ensemble_passes, labels.size))
-    for row, (_, logits) in zip(own, _ensemble_passes(model, dataset.features, cfg, mask_seed)):
+    for row, (_, logits) in zip(own, _ensemble_passes(model, x, cfg, mask_seed)):
         row[:] = _own_class_probability(logits, labels)
     _, variance = sample_feature_moments(own)
     return class_uncertainty(variance + 1.0 / cfg.ensemble_tau, labels, dataset.n_classes)
 
 
 def _ensemble_passes(model: MlpModel, x: np.ndarray, cfg: RunConfig, seed: int):
-    """Yield (feature, logits) of each dropout sub-network over ``x``, one at a time.
+    """Yield (feature, logits) of each dropout sub-network over the checked ``x``, one at a time.
 
-    The passes share their buffers (see ``_passes``), so the ensemble holds
-    one pass's activations at a time, however many passes it makes.
+    The passes share their buffers, allocated once per call: the ensemble holds one
+    pass's activations at a time, and a caller that keeps them past the next pass copies them.
     """
     widths = model.layer_widths
     if not widths:
         raise ConfigurationError("dropout ensembles need at least one hidden layer")
-    masks = sample_dropout_masks(cfg.ensemble_passes, cfg.ensemble_dropout, widths, seed)
-    return _passes(model, x, masks)
+    hidden, logits = _buffers(model, x.shape[0])
+    for masks in sample_dropout_masks(cfg.ensemble_passes, cfg.ensemble_dropout, widths, seed):
+        feature = _pass(model, x, masks, hidden)
+        np.matmul(feature, model.classifier.weights.T, out=logits)
+        yield feature, logits
 
 
 def _refresh_margins(model: MlpModel, dataset: Dataset, cfg: RunConfig, rng: np.random.Generator) -> None:
@@ -480,9 +483,9 @@ def _sample_weights(ccdfs: np.ndarray) -> np.ndarray:
 
 
 def _epoch_record(
-    model: MlpModel, dataset: Dataset, epoch: int, phase: int, mean_loss: float
+    model: MlpModel, dataset: Dataset, buffers, epoch: int, phase: int, mean_loss: float
 ) -> EpochRecord:
-    preds = evaluate(model, dataset)
+    preds = _predict(model, dataset.features, *buffers)
     counts = metrics_mod.ConfusionCounts.from_predictions(dataset.labels, preds, dataset.n_classes)
     accuracy = float(np.mean(preds == dataset.labels))
     return EpochRecord(
@@ -519,6 +522,10 @@ def train_runs(model: MlpModel, dataset: Dataset, cfgs, eval_dataset: Dataset | 
     if dataset.n_classes != model.n_classes:
         raise DimensionError("dataset class count does not match the model")
     eval_ds = eval_dataset if eval_dataset is not None else dataset
+    # the only checks of the run: a Dataset built field by field skips from_arrays
+    labels = as_labels(dataset.labels, (dataset.n_samples,), model.n_classes)
+    dataset = replace(dataset, features=_input_matrix(model, dataset.features), labels=labels)
+    eval_ds = replace(eval_ds, features=_input_matrix(model, eval_ds.features))
     cfgs = list(cfgs)
     keys = [
         {
@@ -553,7 +560,7 @@ def train_runs(model: MlpModel, dataset: Dataset, cfgs, eval_dataset: Dataset | 
 def _run_phase(
     state: TrainState, phase: int, n_epochs: int, dataset: Dataset, cfg: RunConfig, eval_ds: Dataset
 ) -> None:
-    """Advance ``state`` through ``n_epochs`` epochs of ``phase``, in place."""
+    """Advance ``state`` through ``n_epochs`` epochs of ``phase``, in place, by unchecked kernels."""
     model = state.model
     if phase >= PHASE_CLASS_MARGIN and n_epochs:
         # refresh at the phase boundary only: re-measuring while the margins
@@ -563,7 +570,7 @@ def _run_phase(
             _refresh_margins(model, dataset, cfg, state.ensemble)
         if cfg.train_loss == "hybrid-cluster" and state.cluster is None:
             state.cluster = _init_cluster_state(model, dataset, cfg)
-    n = dataset.n_samples
+    n, eval_buffers = dataset.n_samples, _buffers(model, eval_ds.n_samples)
     for _ in range(n_epochs):
         order = state.shuffle.permutation(n)
         loss_sum = 0.0
@@ -573,49 +580,44 @@ def _run_phase(
             yb = dataset.labels[idx]
             # per-sample masks, standard SGD dropout
             masks = dropout_masks(state.dropout, cfg.ensemble_dropout, model.layer_widths, (idx.size,))
-            cache = forward(model, xb, masks)
-            value, grad_feature, grad_classifier = _batch_loss(state, cache, xb, yb, cfg, phase)
+            cache = _forward(model, xb, masks)
+            value, grad_feature, grad_classifier = _batch_loss(state, cache, yb, cfg, phase)
             if not np.isfinite(value) or value > MAX_LOSS:
                 raise TrainingDivergenceError(f"loss {value!r} diverged", len(state.records))
-            grads = backward(model, cache, grad_feature, grad_classifier)
+            grads = _backward(model, cache, grad_feature, grad_classifier)
             sgd_step(model, grads, cfg.train_lr, cfg.train_weight_decay)
             loss_sum += value * idx.size
-        state.records.append(_epoch_record(model, eval_ds, len(state.records), phase, loss_sum / n))
+        record = _epoch_record(model, eval_ds, eval_buffers, len(state.records), phase, loss_sum / n)
+        state.records.append(record)
     state.phase = phase
 
 
-def _batch_loss(
-    state: TrainState, cache: ForwardCache, xb: np.ndarray, yb: np.ndarray, cfg: RunConfig, phase: int
-):
-    """Loss value and gradients for one batch under the phase/selector rules.
+def _batch_loss(state: TrainState, cache: ForwardCache, yb: np.ndarray, cfg: RunConfig, phase: int):
+    """Loss value and gradients for one checked batch under the phase/selector rules.
 
     For ``hybrid-cluster`` this also takes the batch's center step, in place
     on ``state.cluster``: the damped moving average, then the gradient step
     on the center-separation terms.
     """
     clf, feats = state.model.classifier, cache.feature
-    loss, blend = cfg.train_loss, cfg.train_margin_blend
+    loss = cfg.train_loss
     if phase == PHASE_SOFTMAX or loss in ("softmax", "hybrid-cluster"):
-        res = softmax_loss(clf, feats, yb)
-    elif loss == "large-margin":
-        res = large_margin_softmax_loss(clf, feats, yb, cfg.train_margin, blend=blend)
-    elif loss == "uncertainty-weighted" and phase == PHASE_CLASS_MARGIN:
-        res = large_margin_softmax_loss(clf, feats, yb, clf.margins[yb], blend=blend)
-    elif loss == "uncertainty-weighted":
-        weights = _sample_weights(_batch_ccdfs(state.model, xb, yb, cfg, state.ensemble))
-        res = uncertainty_weighted_margin_loss(clf, feats, yb, clf.margins[yb], weights, blend=blend)
-    else:  # angular-i or angular-ii; RunConfig admits no other selector
-        res = angular_margin_loss(clf, feats, yb, variant=loss.removeprefix("angular-"))
+        res = _softmax(clf, feats, yb)
+    elif loss in ("angular-i", "angular-ii"):
+        res = _true_class_loss(clf, feats, yb, _VARIANTS[loss.removeprefix("angular-")])
+    else:  # large-margin or uncertainty-weighted; RunConfig admits no other selector
+        m = cfg.train_margin if loss == "large-margin" else clf.margins[yb]
+        weight = 1.0
+        if loss == "uncertainty-weighted" and phase == PHASE_SAMPLE_WEIGHT:
+            weight = _sample_weights(_batch_ccdfs(state.model, cache.x, yb, cfg, state.ensemble))
+        res = _true_class_loss(clf, feats, yb, lambda c: _psi(c, m), weight, cfg.train_margin_blend)
     value, grad_feature = res.value, res.grad_feature
 
-    cluster = state.cluster
-    if cluster is not None:  # hybrid-cluster, from phase 2 on
+    if state.cluster is not None:  # hybrid-cluster, from phase 2 on
         scale = cfg.cluster_weight / feats.shape[0]
-        cl_value, cl_grad, grad_centers = hybrid_loss(cluster, feats, yb)
+        cl_value, cl_grad = _hybrid_batch(state.cluster, feats, yb, cfg.train_lr * scale)
         value += scale * cl_value
         grad_feature = grad_feature + scale * cl_grad
-        cluster.centers = update_centers(cluster, feats, yb)
-        cluster.centers -= cfg.train_lr * scale * grad_centers
     return value, grad_feature, res.grad_weights
 
 

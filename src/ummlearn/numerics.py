@@ -82,5 +82,5 @@ def log_sum_exp_rows(values: DenseMatrix) -> DenseVector:
     """Row-wise log(sum_j exp(v_ij)), with max subtraction so large logits never overflow."""
     if values.ndim != 2 or values.shape[1] == 0:
         raise DimensionError(f"log_sum_exp_rows needs nonempty rows, got shape {values.shape}")
-    m = np.max(values, axis=1, keepdims=True)
-    return (m + np.log(np.sum(np.exp(values - m), axis=1, keepdims=True)))[:, 0]
+    m = np.maximum.reduce(values, axis=1, keepdims=True)
+    return (m + np.log(np.add.reduce(np.exp(values - m), axis=1, keepdims=True)))[:, 0]

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 import math
+from itertools import accumulate
 
 import numpy as np
 
@@ -32,22 +33,25 @@ def dropout_masks(rng: np.random.Generator, keep_prob: float, layer_widths, rows
 
     Each unit is kept independently with probability ``keep_prob``; a mask
     holds the factor that inverted dropout applies, 0 for a dropped unit and
-    1/``keep_prob`` for a kept one. Layers are drawn in order, one
-    ``rng.random`` call each.
+    1/``keep_prob`` for a kept one. One ``rng.random`` call fills the layers in order:
+    the same doubles as one ``rng.random(rows + (width,))`` call per layer.
     """
-    return [(rng.random((*rows, w)) < keep_prob) / keep_prob for w in layer_widths]
+    n = math.prod(rows)
+    draws = (rng.random(n * sum(layer_widths)) < keep_prob) / keep_prob
+    ends = accumulate(n * w for w in layer_widths)
+    return [draws[end - n * w : end].reshape(*rows, w) for end, w in zip(ends, layer_widths)]
 
 
 def sample_dropout_masks(
     n_passes: int, keep_prob: float, layer_widths, rng_seed: int
 ) -> list[list[np.ndarray]]:
     """``n_passes`` independent ``dropout_masks``, one (width,) mask per layer,
-    shared by every input row; the draw is fully determined by ``rng_seed``."""
+    shared by every input row, drawn in order by one ``dropout_masks`` call from ``rng_seed``."""
     widths = [int(w) for w in layer_widths]
     if any(w <= 0 for w in widths):
         raise ParameterError(f"layer widths must be positive, got {widths!r}")
-    rng = np.random.default_rng(rng_seed)
-    return [dropout_masks(rng, keep_prob, widths) for _ in range(n_passes)]
+    masks = dropout_masks(np.random.default_rng(rng_seed), keep_prob, widths * n_passes)
+    return [masks[i * len(widths) : (i + 1) * len(widths)] for i in range(n_passes)]
 
 
 def class_uncertainty(values, labels, n_classes: int) -> np.ndarray:

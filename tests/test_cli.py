@@ -149,6 +149,16 @@ class TestTrainCommand:
         assert (out_a / "metrics.csv").read_bytes() == (out_b / "metrics.csv").read_bytes()
         assert (out_a / "config.txt").read_bytes() == (out_b / "config.txt").read_bytes()
 
+    @pytest.mark.parametrize("loss", LOSS_CHOICES)
+    def test_byte_identical_reruns_every_selector(self, loss, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text(TINY_LONGTAIL + f"train.loss={loss}\n")
+        runs = [tmp_path / "a", tmp_path / "b"]
+        for out in runs:
+            assert main(["train", "--config", str(config), "--out", str(out), "--seed", "3"]) == 0
+        for name in ("metrics.csv", "model.npz"):
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+
     def test_failed_write_keeps_previous_artifact(self, config_path, tmp_path, monkeypatch):
         import ummlearn.data
 

@@ -5,6 +5,7 @@ import pytest
 
 from ummlearn.cluster_loss import (
     ClusterState,
+    _hybrid_batch,
     clustering_loss,
     diversity_regularizer,
     hybrid_loss,
@@ -361,3 +362,21 @@ class TestLoopRounding:
             ref = reference_update_centers(state, feats, labels)
             np.testing.assert_array_equal(out, ref)
             np.testing.assert_array_equal(np.signbit(out), np.signbit(ref))
+
+    def test_hybrid_batch_kernel(self):
+        # the training loop's kernel: hybrid_loss, then update_centers less step * grad_centers
+        rng = np.random.default_rng(46)
+        apart = [  # no active pair: every center distance exceeds lam
+            (ClusterState(10.0 * rng.standard_normal((n, 4)), lam=0.5), rng.standard_normal((9, 4)), labels)
+            for n in (2, 3, 7)
+            for labels in [rng.integers(0, n, 9)]
+        ]
+        assert all(reference_pairwise(state)[2].min() > state.lam for state, _, _ in apart)
+        for state, feats, labels in [*seeded_center_states(47, count=60), *apart]:
+            cl_value, cl_grad = clustering_loss(state, feats, labels)
+            mm_value, mm_grad = reference_inter_class_margin_loss(state)
+            want = reference_update_centers(state, feats, labels) - 0.37 * mm_grad
+            value, grad = _hybrid_batch(state, feats, labels, 0.37)
+            assert value == cl_value + mm_value
+            assert grad.tobytes() == cl_grad.tobytes()
+            assert state.centers.tobytes() == want.tobytes()

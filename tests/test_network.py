@@ -7,14 +7,23 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import ummlearn.network as network
 from helpers import flatten_params, mlp_softmax_problem
+from ummlearn.cluster_loss import ClusterState, hybrid_loss, update_centers
 from ummlearn.data import Dataset, gaussian_blobs, two_class_blob_specs
-from ummlearn.errors import ConfigurationError, DimensionError, TrainingDivergenceError
+from ummlearn.errors import ConfigurationError, DimensionError, LabelError, TrainingDivergenceError
 from ummlearn.gradcheck import check
-from ummlearn.margin_loss import ClassifierState, softmax_loss, uncertainty_weighted_margin_loss
+from ummlearn.margin_loss import (
+    ClassifierState,
+    angular_margin_loss,
+    large_margin_softmax_loss,
+    softmax_loss,
+    uncertainty_weighted_margin_loss,
+)
 from ummlearn.network import (
     LOSS_CHOICES,
     PHASE_CLASS_MARGIN,
+    PHASE_SAMPLE_WEIGHT,
     PHASE_SOFTMAX,
     Gradients,
     MlpModel,
@@ -33,6 +42,7 @@ from ummlearn.network import (
 from ummlearn.seeding import stream_rng, stream_seed
 from ummlearn.uncertainty import (
     class_uncertainty,
+    dropout_masks,
     error_moments,
     misclassification_ccdf,
     rival_class,
@@ -450,8 +460,6 @@ class TestTrain:
         # values equal the softmax loss values
         rng = np.random.default_rng(4)
         model = small_model(4)
-        from ummlearn.margin_loss import large_margin_softmax_loss
-
         feats = rng.standard_normal((10, 2))
         for i in range(10):
             cache = forward(model, feats[i])
@@ -465,19 +473,19 @@ class TestTrain:
 
     def test_phase3_weights_fall_as_the_ccdf_rises(self, monkeypatch):
         # the final phase scales each sample's true-class term by P(correct) = 1 - CCDF
-        import ummlearn.network as network
-
         seen = []
 
         def rising_ccdfs(model, xb, yb, cfg, rng):
             return np.linspace(0.05, 0.95, yb.size)
 
-        def recording_loss(state, features, labels, m, ccdf, blend=1.0):
-            seen.append(np.asarray(ccdf))
-            return uncertainty_weighted_margin_loss(state, features, labels, m, ccdf, blend=blend)
+        true_class_loss = network._true_class_loss
+
+        def recording_loss(state, feats, labs, transform, weight=1.0, blend=1.0):
+            seen.append(np.asarray(weight))
+            return true_class_loss(state, feats, labs, transform, weight, blend)
 
         monkeypatch.setattr(network, "_batch_ccdfs", rising_ccdfs)
-        monkeypatch.setattr(network, "uncertainty_weighted_margin_loss", recording_loss)
+        monkeypatch.setattr(network, "_true_class_loss", recording_loss)
         tr, _ = binary_sets(0)
         cfg = RunConfig(train_loss="uncertainty-weighted", train_epochs_softmax=1, train_epochs_umm=0,
                         train_epochs_sum=1, model_hidden=(8, 8), seed=0)
@@ -490,8 +498,6 @@ class TestTrain:
 
     def test_margins_scale_the_class_uncertainty(self, monkeypatch):
         # margin = max(1, floor(0.5 * scale * u)): u = 0.1 at scale 40 gives 2, at scale 1 gives 1
-        import ummlearn.network as network
-
         monkeypatch.setattr(network, "ensemble_class_uncertainty", lambda model, ds, cfg, seed: np.full(2, 0.1))
         model = small_model(c=2)
         tr, _ = binary_sets(0)
@@ -502,9 +508,6 @@ class TestTrain:
 
     def test_hybrid_center_step_descends(self):
         # one hybrid batch moves the centers to the damped pull minus lr * scale * grad_centers
-        import ummlearn.network as network
-        from ummlearn.cluster_loss import ClusterState, hybrid_loss, update_centers
-
         rng = np.random.default_rng(5)
         model = small_model(c=3)
         xb, yb = rng.standard_normal((6, 2)), np.array([0, 1, 2, 0, 1, 2])
@@ -516,7 +519,7 @@ class TestTrain:
         assert np.abs(grad_centers).max() > 0.1
         scale = cfg.cluster_weight / yb.size
         expected = update_centers(state.cluster, cache.feature, yb) - cfg.train_lr * scale * grad_centers
-        network._batch_loss(state, cache, xb, yb, cfg, PHASE_CLASS_MARGIN)
+        network._batch_loss(state, cache, yb, cfg, PHASE_CLASS_MARGIN)
         np.testing.assert_allclose(state.cluster.centers, expected, rtol=0, atol=1e-15)
 
     def test_empty_dataset_rejected(self):
@@ -529,6 +532,26 @@ class TestTrain:
         tr, _ = binary_sets(0)
         with pytest.raises(DimensionError, match="class count"):
             train(small_model(c=3), tr, RunConfig())
+
+    @pytest.mark.parametrize(
+        "fault, error",
+        [("train width", DimensionError), ("eval width", DimensionError), ("label", LabelError)],
+    )
+    def test_dataset_built_field_by_field_checked_before_any_epoch(self, fault, error, monkeypatch):
+        # Dataset skips the checks of from_arrays; train_runs makes them before the unchecked loop
+        tr, te = binary_sets(0)
+        if fault == "train width":
+            tr = replace(tr, features=np.hstack([tr.features, tr.features]))
+        elif fault == "eval width":
+            te = replace(te, features=te.features[:, :1])
+        else:
+            tr = replace(tr, labels=np.where(np.arange(tr.n_samples) == 7, 2, tr.labels))
+        monkeypatch.setattr(network, "_run_phase", lambda *args: pytest.fail("an epoch ran"))
+        model = small_model(c=2)
+        before = pickle.dumps(model)
+        with pytest.raises(error):
+            train(model, tr, RunConfig(), eval_dataset=te)
+        assert pickle.dumps(model) == before
 
     def test_divergence_guard(self):
         tr, _ = binary_sets(3)
@@ -550,6 +573,81 @@ class TestTrain:
             RunConfig(train_lr=0.0)
         with pytest.raises(ConfigurationError, match="train.margin"):
             RunConfig(train_margin=9)
+
+
+def reference_epoch(state, phase, dataset, cfg):
+    """One epoch of ``_run_phase`` through the public functions, as the loop ran
+    them before it called their kernels: (mean loss, zero feature rows met)."""
+    model, clf, loss, blend = state.model, state.model.classifier, cfg.train_loss, cfg.train_margin_blend
+    if phase >= PHASE_CLASS_MARGIN and loss == "uncertainty-weighted":
+        network._refresh_margins(model, dataset, cfg, state.ensemble)
+    order = state.shuffle.permutation(dataset.n_samples)
+    total, zero_rows = 0.0, 0
+    for start in range(0, dataset.n_samples, cfg.train_batch_size):
+        idx = order[start : start + cfg.train_batch_size]
+        xb, yb = dataset.features[idx], dataset.labels[idx]
+        masks = dropout_masks(state.dropout, cfg.ensemble_dropout, model.layer_widths, (idx.size,))
+        cache = forward(model, xb, masks)
+        feats = cache.feature
+        zero_rows += int(np.sum(~feats.any(axis=1)))
+        if phase == PHASE_SOFTMAX or loss in ("softmax", "hybrid-cluster"):
+            res = softmax_loss(clf, feats, yb)
+        elif loss == "large-margin":
+            res = large_margin_softmax_loss(clf, feats, yb, cfg.train_margin, blend=blend)
+        elif loss == "uncertainty-weighted" and phase == PHASE_CLASS_MARGIN:
+            res = large_margin_softmax_loss(clf, feats, yb, clf.margins[yb], blend=blend)
+        elif loss == "uncertainty-weighted":
+            ccdfs = network._batch_ccdfs(model, xb, yb, cfg, state.ensemble)
+            res = uncertainty_weighted_margin_loss(clf, feats, yb, clf.margins[yb], 1.0 - ccdfs, blend=blend)
+        else:
+            res = angular_margin_loss(clf, feats, yb, variant=loss.removeprefix("angular-"))
+        value, grad_feature = res.value, res.grad_feature
+        if state.cluster is not None:
+            scale = cfg.cluster_weight / idx.size
+            cl_value, cl_grad, grad_centers = hybrid_loss(state.cluster, feats, yb)
+            value += scale * cl_value
+            grad_feature = grad_feature + scale * cl_grad
+            moved = update_centers(state.cluster, feats, yb)
+            state.cluster.centers = moved - cfg.train_lr * scale * grad_centers
+        grads = backward(model, cache, grad_feature, res.grad_weights)
+        sgd_step(model, grads, cfg.train_lr, cfg.train_weight_decay)
+        total += value * idx.size
+    return total / dataset.n_samples, zero_rows
+
+
+class TestLeanStep:
+    """The training loop's kernels against the public functions they sit behind, bit for bit."""
+
+    @pytest.mark.parametrize("phase", [PHASE_SOFTMAX, PHASE_CLASS_MARGIN, PHASE_SAMPLE_WEIGHT])
+    @pytest.mark.parametrize("loss", LOSS_CHOICES)
+    def test_epoch_matches_public_chain(self, loss, phase, monkeypatch):
+        # 23 rows in batches of 8, 8 and a short 7; at keep 0.3 some feature
+        # rows are zero and take the plain softmax share of the margin losses;
+        # uncertainty-weighted runs with the margins 1, 2 and 3
+        uncertainties = np.array([0.05, 0.1, 0.15])
+        monkeypatch.setattr(network, "ensemble_class_uncertainty", lambda *args: uncertainties)
+        rng = np.random.default_rng([phase, LOSS_CHOICES.index(loss)])
+        ds = Dataset.from_arrays(2.0 * rng.standard_normal((23, 2)), np.arange(23) % 3, 3)
+        cfg = RunConfig(
+            train_loss=loss, train_batch_size=8, ensemble_dropout=0.3, model_hidden=(8, 4),
+            train_uncertainty_scale=40.0, cluster_lambda=2.0, seed=phase,
+        )
+        streams = (stream_rng(phase, name) for name in ("shuffle", "dropout", "ensemble"))
+        state = network.TrainState(small_model(phase, hidden=(8, 4)), *streams)
+        if loss == "hybrid-cluster" and phase > PHASE_SOFTMAX:
+            state.cluster = ClusterState(rng.standard_normal((3, 4)), lam=2.0)
+            state.cluster.centers[2] = state.cluster.centers[0]  # a coincident pair
+        ref = pickle.loads(pickle.dumps(state))
+        network._run_phase(state, phase, 1, ds, cfg, ds)
+        mean_loss, zero_rows = reference_epoch(ref, phase, ds, cfg)
+        assert zero_rows > 0
+        assert state.records[-1].loss == mean_loss
+        assert flatten_params(state.model).tobytes() == flatten_params(ref.model).tobytes()
+        assert state.model.classifier.margins.tobytes() == ref.model.classifier.margins.tobytes()
+        if state.cluster is not None:
+            assert state.cluster.centers.tobytes() == ref.cluster.centers.tobytes()
+        if loss == "uncertainty-weighted" and phase > PHASE_SOFTMAX:
+            assert state.model.classifier.margins.tolist() == [1, 2, 3]
 
 
 class TestDropoutPlumbing:

@@ -56,6 +56,13 @@ class TestDropoutMasks:
             assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
         assert rng.bit_generator.state == ref.bit_generator.state
 
+    @pytest.mark.parametrize("rows", [(), (5,)])
+    def test_no_layers_draw_nothing(self, rows):
+        rng = np.random.default_rng(12)
+        state = rng.bit_generator.state
+        assert dropout_masks(rng, 0.5, [], rows) == []
+        assert rng.bit_generator.state == state
+
     def test_holds_zero_or_inverse_keep(self):
         (m,) = dropout_masks(np.random.default_rng(3), 0.3, [1000], (4,))
         assert set(np.unique(m)) == {0.0, 1 / 0.3}

@@ -49,12 +49,7 @@ MUTANTS = [
         "        b -= lr * g\n",
         "        b -= lr * (g + weight_decay * b)\n",
     ),
-    (
-        "hybrid center step ascends",
-        NETWORK,
-        "cluster.centers -= cfg.train_lr * scale * grad_centers",
-        "cluster.centers += cfg.train_lr * scale * grad_centers",
-    ),
+    ("hybrid center step ascends", CLUSTER, "labs) - step * grad_centers", "labs) + step * grad_centers"),
     ("margin map at 0.25 u", MARGIN, "math.floor(0.5 * u)", "math.floor(0.25 * u)"),
     (
         "rival class by argmin",
@@ -73,6 +68,24 @@ MUTANTS = [
         UNCERTAINTY,
         "np.sum(diff * diff * sigma_f, axis=-1)",
         "np.sum(diff * diff * np.sqrt(sigma_f), axis=-1)",
+    ),
+    (
+        "masks as columns of one (B, sum w) draw",
+        UNCERTAINTY,
+        """    draws = (rng.random(n * sum(layer_widths)) < keep_prob) / keep_prob
+    ends = accumulate(n * w for w in layer_widths)
+    return [draws[end - n * w : end].reshape(*rows, w) for end, w in zip(ends, layer_widths)]
+""",
+        """    draws = (rng.random((*rows, sum(layer_widths))) < keep_prob) / keep_prob
+    ends = accumulate(layer_widths)
+    return [draws[..., end - w : end] for end, w in zip(ends, layer_widths)]
+""",
+    ),
+    (
+        "pair scatter adds the iu terms first",
+        CLUSTER,
+        "((flat_ju, -v), (flat_iu, v))",
+        "((flat_iu, v), (flat_ju, -v))",
     ),
     ("margin loss omits the blend", MARGIN, "np.where(live, blend, 0.0)", "np.where(live, 1.0, 0.0)"),
     (
